@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Field, Grid, shifted
 from .weights import Weight
 
 
@@ -164,38 +164,44 @@ def _cell_midpoints(grid: Grid) -> np.ndarray:
 
 
 def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
-    """Energy value and per-cell contributions from a raw value array."""
-    wcell, _, Q, _, cell_in, _, sym_delta = _cell_kernel(grid, values, w, A)
+    """Energy value, per-cell contributions, symmetrization delta, and grad.
+
+    grad is a zero-argument closure over this call's cell-kernel outputs;
+    calling it returns the exact gradient at the same values without a
+    second kernel pass.
+    """
+    wcell, _, Q, G, cell_in, ubar, sym_delta = _cell_kernel(grid, values, w, A)
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
-    return float(cells.sum()), cells, sym_delta
+
+    def grad() -> np.ndarray:
+        dims = grid.dims
+        ndim = grid.ndim
+        offsets = _corner_offsets(ndim)
+        denom = [2 ** (ndim - 1) * grid.spacing[i] for i in range(ndim)]
+
+        base = (wcell * cell_in) * grid.cell_volume
+        # d e^{f(ubar)} / dU(corner) routes through f'(ubar) / 2^n
+        fterm = base * Q / len(offsets)
+        fp = -ubar * w.g_value(ubar)[..., None]  # f'(ubar), shape cells + (N,)
+
+        out = np.zeros(dims + (values.shape[-1],))
+        for o in offsets:
+            sl = _corner_slices(o, dims) + (slice(None),)
+            contrib = fterm[..., None] * fp
+            for i in range(ndim):
+                sgn = 1.0 if o[i] == 1 else -1.0
+                contrib = contrib + (2.0 * sgn / denom[i]) * base[..., None] * G[..., i, :]
+            out[sl] += contrib
+        out *= np.exp(w.shift)
+        out[~grid.interior_mask] = 0.0
+        return out
+
+    return float(cells.sum()), cells, sym_delta, grad
 
 
 def grad_raw(grid: Grid, values: np.ndarray, w: Weight, A=None) -> np.ndarray:
     """Exact gradient of the discrete energy w.r.t. interior nodal values."""
-    dims = grid.dims
-    ndim = grid.ndim
-    ncomp = values.shape[-1]
-    wcell, D, Q, G, cell_in, ubar, _ = _cell_kernel(grid, values, w, A)
-    vol = grid.cell_volume
-    offsets = _corner_offsets(ndim)
-    denom = [2 ** (ndim - 1) * grid.spacing[i] for i in range(ndim)]
-
-    base = (wcell * cell_in) * vol
-    # d e^{f(ubar)} / dU(corner) routes through f'(ubar) / 2^n
-    fterm = base * Q / len(offsets)
-    fp = -ubar * w.g_value(ubar)[..., None]  # f'(ubar), shape cells + (N,)
-
-    grad = np.zeros(dims + (ncomp,))
-    for o in offsets:
-        sl = _corner_slices(o, dims) + (slice(None),)
-        contrib = fterm[..., None] * fp
-        for i in range(ndim):
-            sgn = 1.0 if o[i] == 1 else -1.0
-            contrib = contrib + (2.0 * sgn / denom[i]) * base[..., None] * G[..., i, :]
-        grad[sl] += contrib
-    grad *= np.exp(w.shift)
-    grad[~grid.interior_mask] = 0.0
-    return grad
+    return energy_raw(grid, values, w, A)[3]()
 
 
 def energy(grid: Grid, U: Field, w: Weight, A: CoefficientTensor | None = None,
@@ -207,7 +213,7 @@ def energy(grid: Grid, U: Field, w: Weight, A: CoefficientTensor | None = None,
     """
     if U.grid is not grid and U.grid.dims != grid.dims:
         raise ValueError("field does not live on the given grid")
-    value, cells, sym_delta = energy_raw(grid, U.values, w, A)
+    value, cells, sym_delta, _ = energy_raw(grid, U.values, w, A)
     q_norms = {}
     if q_exponents:
         _, D, _, _, cell_in, _, _ = _cell_kernel(grid, U.values, w, None)
@@ -225,21 +231,6 @@ def grad_energy(grid: Grid, U: Field, w: Weight,
                 A: CoefficientTensor | None = None) -> Field:
     """Analytic gradient of the discrete energy (zero on boundary nodes)."""
     return Field(grid, U.ncomp, grad_raw(grid, U.values, w, A))
-
-
-def _shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """values shifted by step nodes along axis; out-of-range entries zero."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    else:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
 
 
 def el_residual(grid: Grid, U: Field, w: Weight,
@@ -260,14 +251,14 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     f_node = w.f_base(vals)
     grad_c = np.zeros(grid.dims + (ndim, ncomp))
     for ax in range(ndim):
-        grad_c[..., ax, :] = (_shifted(vals, ax, +1) - _shifted(vals, ax, -1)) / (2 * h[ax])
+        grad_c[..., ax, :] = (shifted(vals, ax, +1) - shifted(vals, ax, -1)) / (2 * h[ax])
     grad_sq = np.sum(grad_c * grad_c, axis=(-2, -1))
 
     if A is None or A.is_identity:
         div = np.zeros_like(vals)
         for ax in range(ndim):
-            up = _shifted(vals, ax, +1)
-            dn = _shifted(vals, ax, -1)
+            up = shifted(vals, ax, +1)
+            dn = shifted(vals, ax, -1)
             w_up = np.exp(w.f_base(0.5 * (vals + up)))
             w_dn = np.exp(w.f_base(0.5 * (vals + dn)))
             div += (w_up[..., None] * (up - vals) - w_dn[..., None] * (vals - dn)) / h[ax] ** 2
@@ -290,9 +281,9 @@ def el_residual(grid: Grid, U: Field, w: Weight,
             # cross terms need the diagonal neighbors along (ax, j)
             for sgn in (+1, -1):
                 for s2 in (+1, -1):
-                    ok &= _shifted(_shifted(in_f, j, s2), ax, sgn) > 0.5
+                    ok &= shifted(shifted(in_f, j, s2), ax, sgn) > 0.5
         for sgn in (+1, -1):
-            nb = _shifted(vals, ax, sgn)
+            nb = shifted(vals, ax, sgn)
             face_pts = pts.copy()
             face_pts[..., ax] += sgn * 0.5 * h[ax]
             Aface = A.eval(face_pts, ncomp)
@@ -307,8 +298,8 @@ def el_residual(grid: Grid, U: Field, w: Weight,
             for j in range(ndim):
                 if j == ax:
                     continue
-                cent_here = (_shifted(vals, j, +1) - _shifted(vals, j, -1)) / (2 * h[j])
-                cent_nb = _shifted(cent_here, ax, sgn)
+                cent_here = (shifted(vals, j, +1) - shifted(vals, j, -1)) / (2 * h[j])
+                cent_nb = shifted(cent_here, ax, sgn)
                 dface[..., j, :] = 0.5 * (cent_here + cent_nb)
             flux = np.einsum("...jab,...ja->...b", Asym[..., ax, :, :, :], dface)
             div += sgn * (w_face[..., None] * flux) / h[ax]

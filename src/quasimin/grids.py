@@ -174,18 +174,28 @@ class Grid:
         )
 
 
+def shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """values shifted by step nodes along axis; out-of-range entries zero."""
+    out = np.zeros_like(values)
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    if step > 0:
+        src[axis] = slice(step, None)
+        dst[axis] = slice(None, -step)
+    else:
+        src[axis] = slice(None, step)
+        dst[axis] = slice(-step, None)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
 def _classify(in_dom: np.ndarray) -> np.ndarray:
     """Node classes from an in-domain mask (staircase boundary rule)."""
     ndim = in_dom.ndim
     ext = ~in_dom
     near_ext = np.zeros_like(in_dom)
     for ax in range(ndim):
-        lo = [slice(None)] * ndim
-        hi = [slice(None)] * ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        near_ext[tuple(lo)] |= ext[tuple(hi)]
-        near_ext[tuple(hi)] |= ext[tuple(lo)]
+        near_ext |= shifted(ext, ax, +1) | shifted(ext, ax, -1)
     hull = np.zeros_like(in_dom)
     for ax in range(ndim):
         sl = [slice(None)] * ndim

@@ -5,9 +5,11 @@ interior nodes with exact Dirichlet equality on boundary nodes.  Descent
 uses Barzilai-Borwein step lengths safeguarded into [1e-12, 1e6] with
 monotone Armijo backtracking (factor 1/2, parameter 1e-4) along the
 projected path, so every iterate is feasible bit-exactly and the energy
-history never increases.  Convergence is declared on the sup norm of the
-projected gradient: gradient components are zeroed wherever a bound is
-active and the descent direction points out of the box.
+history never increases.  Both line-search values are fixed module
+constants (_BACKTRACK, _ARMIJO_C), not solver options.  Convergence is
+declared on the sup norm of the projected gradient: gradient components
+are zeroed wherever a bound is active and the descent direction points
+out of the box.
 
 No claim of global minimality is made; the energy is nonconvex and
 different initializations may reach different stationary points (which is
@@ -29,6 +31,8 @@ from .weights import Weight
 _STEP_MIN = 1e-12
 _STEP_MAX = 1e6
 _BACKTRACK_LIMIT = 60
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,7 @@ class SolveOptions:
 
     tol_pg: float | None = None
     max_iters: int = 50000
-    step_rule: str = "bb_armijo"  # or "fixed"
-    fixed_step: float = 1e-3
     init: str | Field = "harmonic_extension"  # "boundary_constant" | Field
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     tol_factor: float = 1e-8
 
     def __post_init__(self):
@@ -81,8 +81,6 @@ class SolveOptions:
             raise ValueError("tol_pg must be positive")
         if self.tol_factor <= 0:
             raise ValueError("tol_factor must be positive")
-        if self.step_rule not in ("bb_armijo", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
@@ -165,10 +163,10 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     t0 = time.perf_counter()
 
     U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
-    E, _, _ = energy_raw(grid, U, w, A)
+    E, _, _, grad = energy_raw(grid, U, w, A)
     if not np.isfinite(E):
         raise ValueError("initial energy is not finite")
-    g = grad_raw(grid, U, w, A)
+    g = grad()
     pg = _projected_gradient(U, g, grid, adm)
     pgn = float(np.abs(pg).max())
     tol = opts.tol_pg if opts.tol_pg is not None else opts.tol_factor * (1.0 + E)
@@ -179,57 +177,46 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     stall = ""
     converged = pgn <= tol
     iters = 0
-    tau = None
+    # bootstrap with a small relative step; BB takes over after the first
+    # (s, y) pair is available
+    tau = 1e-3 * (1.0 + float(np.abs(U).max())) / (1.0 + pgn)
     prev_tau = 1.0
     best_pg = pgn
     best_E = E
     last_progress = 0
 
     while not converged and iters < opts.max_iters:
-        if opts.step_rule == "fixed":
-            tau = opts.fixed_step
+        tau = float(np.clip(tau, _STEP_MIN, _STEP_MAX))
+        for _ in range(_BACKTRACK_LIMIT):
             U_new = _project_values(U - tau * g, grid, adm)
-            E_new, _, _ = energy_raw(grid, U_new, w, A)
+            step = U_new - U
+            dd = float(np.sum(g * step))
+            E_new, _, _, grad = energy_raw(grid, U_new, w, A)
+            if np.isfinite(E_new) and E_new <= E + _ARMIJO_C * dd:
+                break
+            tau *= _BACKTRACK
         else:
-            if tau is None:
-                # bootstrap with a small relative step; BB takes over after
-                # the first (s, y) pair is available
-                unorm = float(np.abs(U).max())
-                tau = 1e-3 * (1.0 + unorm) / (1.0 + pgn)
-            tau = float(np.clip(tau, _STEP_MIN, _STEP_MAX))
-            accepted = False
-            for _ in range(_BACKTRACK_LIMIT):
-                U_new = _project_values(U - tau * g, grid, adm)
-                step = U_new - U
-                dd = float(np.sum(g * step))
-                E_new, _, _ = energy_raw(grid, U_new, w, A)
-                if np.isfinite(E_new) and E_new <= E + opts.armijo_c * dd:
-                    accepted = True
-                    break
-                tau *= opts.backtrack
-            if not accepted:
-                # safeguarded fallback: accept any plain decrease at the
-                # smallest step, otherwise stop at the current iterate
-                ls_failures += 1
-                tau = _STEP_MIN
-                U_new = _project_values(U - tau * g, grid, adm)
-                E_new, _, _ = energy_raw(grid, U_new, w, A)
-                if not (np.isfinite(E_new) and E_new <= E):
-                    stall = "line search stalled at the minimum step"
-                    break
+            # safeguarded fallback: accept any plain decrease at the
+            # smallest step, otherwise stop at the current iterate
+            ls_failures += 1
+            tau = _STEP_MIN
+            U_new = _project_values(U - tau * g, grid, adm)
+            E_new, _, _, grad = energy_raw(grid, U_new, w, A)
+            if not (np.isfinite(E_new) and E_new <= E):
+                stall = "line search stalled at the minimum step"
+                break
 
-        g_new = grad_raw(grid, U_new, w, A)
-        if opts.step_rule == "bb_armijo":
-            s = U_new - U
-            y = g_new - g
-            sy = float(np.sum(s * y))
-            ss = float(np.sum(s * s))
-            if sy > 1e-300 and ss > 0:
-                tau_next = ss / sy
-            else:
-                tau_next = min(_STEP_MAX, 2.0 * max(tau, prev_tau))
-            prev_tau = tau
-            tau = float(np.clip(tau_next, _STEP_MIN, _STEP_MAX))
+        g_new = grad()
+        s = U_new - U
+        y = g_new - g
+        sy = float(np.sum(s * y))
+        ss = float(np.sum(s * s))
+        if sy > 1e-300 and ss > 0:
+            tau_next = ss / sy
+        else:
+            tau_next = min(_STEP_MAX, 2.0 * max(tau, prev_tau))
+        prev_tau = tau
+        tau = float(np.clip(tau_next, _STEP_MIN, _STEP_MAX))
 
         U, E, g = U_new, E_new, g_new
         pg = _projected_gradient(U, g, grid, adm)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .grids import BoundaryData, Field, Grid
+from .grids import BoundaryData, Field, Grid, shifted
 from .weights import Weight
 
 
@@ -166,17 +166,7 @@ def _neighbor_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros_like(values)
     for ax in range(grid.ndim):
         for sgn in (+1, -1):
-            shifted = np.zeros_like(values)
-            src = [slice(None)] * values.ndim
-            dst = [slice(None)] * values.ndim
-            if sgn > 0:
-                src[ax] = slice(1, None)
-                dst[ax] = slice(None, -1)
-            else:
-                src[ax] = slice(None, -1)
-                dst[ax] = slice(1, None)
-            shifted[tuple(dst)] = values[tuple(src)]
-            out += shifted / grid.spacing[ax] ** 2
+            out += shifted(values, ax, sgn) / grid.spacing[ax] ** 2
     return out
 
 

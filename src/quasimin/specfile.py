@@ -27,7 +27,7 @@ _SECTION_KEYS = {
     "weight": {"kind", "alpha", "beta", "value", "shift"},
     "boundary": {"values"},
     "tensor": {"diagonal"},
-    "solver": {"tol_pg", "max_iters", "step_rule", "fixed_step", "init", "box_bound"},
+    "solver": {"tol_pg", "max_iters", "init", "box_bound"},
     "sphere": {"candidates"},
     "halfspace": {"radii", "spacing", "window", "function"},
     "source": {"values", "damping"},
@@ -284,28 +284,22 @@ def parse_problem(text: str) -> ProblemSpec:
             except ExprError as exc:
                 fail(no_t, f"tensor diagonal: {exc}")
 
-    # [solver]
-    try:
-        kw = {}
-        if fields.has("solver", "tol_pg"):
-            kw["tol_pg"] = float(fields.get("solver", "tol_pg")[1])
-        if fields.has("solver", "max_iters"):
-            kw["max_iters"] = int(fields.get("solver", "max_iters")[1])
-        if fields.has("solver", "step_rule"):
-            kw["step_rule"] = fields.get("solver", "step_rule")[1].lower()
-        if fields.has("solver", "fixed_step"):
-            kw["fixed_step"] = float(fields.get("solver", "fixed_step")[1])
-        if fields.has("solver", "init"):
-            kw["init"] = fields.get("solver", "init")[1].lower()
-            if kw["init"] not in ("harmonic_extension", "boundary_constant"):
-                raise ValueError(f"unknown init {kw['init']!r}")
-        spec.solver = SolveOptions(**kw)
-    except ValueError as exc:
-        no = next(
-            (fields.get("solver", k)[0] for k in _SECTION_KEYS["solver"] if fields.has("solver", k)),
-            1,
-        )
-        fail(no, f"solver options: {exc}")
+    # [solver]: each key is checked alone, so a diagnostic names its own line
+    kw = {}
+    for key, conv in (("tol_pg", float), ("max_iters", int), ("init", str.lower)):
+        if not fields.has("solver", key):
+            continue
+        no_k, raw = fields.get("solver", key)
+        try:
+            val = conv(raw)
+            if key == "init" and val not in ("harmonic_extension", "boundary_constant"):
+                raise ValueError(f"unknown init {val!r}")
+            SolveOptions(**{key: val})
+        except ValueError as exc:
+            fail(no_k, f"solver options: {exc}")
+        else:
+            kw[key] = val
+    spec.solver = SolveOptions(**kw)
     if fields.has("solver", "box_bound"):
         no_bb, bb_s = fields.get("solver", "box_bound")
         try:
@@ -364,13 +358,28 @@ def parse_problem(text: str) -> ProblemSpec:
             except ExprError as exc:
                 fail(no_src, f"source expression: {exc}")
     if fields.has("source", "damping"):
-        spec.source_damping = float(fields.get("source", "damping")[1])
+        no_d, damp_s = fields.get("source", "damping")
+        try:
+            spec.source_damping = float(damp_s)
+        except ValueError:
+            fail(no_d, f"bad damping {damp_s!r}")
 
     # [gradcheck]
     if fields.has("gradcheck", "components"):
-        spec.gradcheck_components = int(fields.get("gradcheck", "components")[1])
+        no_gc, comp_s = fields.get("gradcheck", "components")
+        try:
+            spec.gradcheck_components = int(comp_s)
+        except ValueError:
+            fail(no_gc, f"bad component count {comp_s!r}")
+        else:
+            if spec.gradcheck_components < 1:
+                fail(no_gc, "gradcheck components must be >= 1")
     if fields.has("gradcheck", "step"):
-        spec.gradcheck_step = float(fields.get("gradcheck", "step")[1])
+        no_gs, step_s = fields.get("gradcheck", "step")
+        try:
+            spec.gradcheck_step = float(step_s)
+        except ValueError:
+            fail(no_gs, f"bad gradcheck step {step_s!r}")
 
     # [output]
     spec.outputs = {

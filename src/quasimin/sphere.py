@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import energy
-from .grids import BoundaryData, Field, Grid
+from .grids import BoundaryData, Field, Grid, shifted
 from .optim import AdmissibleSet, SolveOptions, SolveReport, minimize
 from .weights import constant, sphere_chart
 
@@ -108,7 +108,8 @@ def stereo_project(pole: ChartPole, points: np.ndarray) -> np.ndarray:
     dist = np.linalg.norm(pts - pole.pole, axis=-1)
     if pts.size and dist.min() < _POLE_EPS:
         raise ValueError("point at or numerically at the chart pole")
-    den = 1.0 - pts @ pole.pole
+    # 1 - p . pole == |p - pole|^2 / 2 for unit vectors, without cancellation
+    den = 0.5 * dist * dist
     return (pts @ pole.axes.T) / den[..., None]
 
 
@@ -191,18 +192,8 @@ def harmonic_residual(grid: Grid, V: Field) -> float:
     lap = np.zeros_like(vals)
     grad_sq = np.zeros(grid.dims)
     for ax in range(ndim):
-        up = np.zeros_like(vals)
-        dn = np.zeros_like(vals)
-        src_up = [slice(None)] * vals.ndim
-        dst_up = [slice(None)] * vals.ndim
-        src_up[ax] = slice(1, None)
-        dst_up[ax] = slice(None, -1)
-        up[tuple(dst_up)] = vals[tuple(src_up)]
-        src_dn = [slice(None)] * vals.ndim
-        dst_dn = [slice(None)] * vals.ndim
-        src_dn[ax] = slice(None, -1)
-        dst_dn[ax] = slice(1, None)
-        dn[tuple(dst_dn)] = vals[tuple(src_dn)]
+        up = shifted(vals, ax, +1)
+        dn = shifted(vals, ax, -1)
         h = grid.spacing[ax]
         lap += (up - 2.0 * vals + dn) / h**2
         cent = (up - dn) / (2.0 * h)

@@ -177,10 +177,20 @@ def test_kkt_residual_cases():
         kkt_residual(g, Field(g, 1, bad), gaussian(1.0), adm2)
 
 
-def test_fixed_step_rule_runs():
-    g = interval(17)
-    bd = sample_boundary(g, lambda p: p[:, 0])
-    adm = AdmissibleSet.from_boundary(bd)
-    opts = SolveOptions(step_rule="fixed", fixed_step=1e-3, max_iters=200)
-    _, rep = minimize(g, gaussian(1.0), adm, opts=opts)
-    assert rep.iterations <= 200
+@pytest.mark.parametrize(
+    "phi, alpha, active",
+    [
+        (lambda p: p[:, 0], 1.0, False),
+        # the vector-valued gaussian weight pushes the solution onto the box
+        (lambda p: np.stack([np.cos(2 * np.pi * p[:, 0]), np.sin(2 * np.pi * p[:, 1])], axis=1),
+         10.0, True),
+    ],
+    ids=["free", "active_bound"],
+)
+def test_final_pg_equals_kkt_residual(phi, alpha, active):
+    # minimize reuses the accepted trial's gradient; kkt_residual recomputes it
+    g = square(9)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, phi))
+    u, rep = minimize(g, gaussian(alpha), adm)
+    assert rep.iterations > 0 and (rep.active_count > 0) == active
+    assert rep.final_pg == kkt_residual(g, u, gaussian(alpha), adm)

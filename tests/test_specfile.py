@@ -181,3 +181,47 @@ box_bound = 2.5
     assert spec.solver.max_iters == 1234
     assert spec.solver.init == "boundary_constant"
     assert np.array_equal(spec.box_bound, [2.5])
+
+
+def _diag_line(text, needle):
+    return text.splitlines().index(needle) + 1
+
+
+def test_solver_diagnostic_names_the_failing_key_line():
+    text = MINIMAL + "\n[solver]\nmax_iters = 100\ninit = boundary_constant\ntol_pg = -1\n"
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert "tol_pg" in diag.message
+    assert diag.line == _diag_line(text, "tol_pg = -1")
+
+    text = MINIMAL + "\n[solver]\ntol_pg = -1\ninit = boundary_constant\nmax_iters = 0\n"
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    lines = sorted(d.line for d in err.value.diagnostics)
+    assert lines == [_diag_line(text, "tol_pg = -1"), _diag_line(text, "max_iters = 0")]
+
+
+def test_removed_step_rule_keys_are_unknown():
+    text = MINIMAL + "\n[solver]\nstep_rule = fixed\n"
+    with pytest.raises(SpecError, match="unknown key \\[solver\\] 'step_rule'"):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize(
+    "mode, section, line, message",
+    [
+        ("oracle", "source", "damping = abc", "bad damping 'abc'"),
+        ("gradcheck", "gradcheck", "components = two", "bad component count 'two'"),
+        ("gradcheck", "gradcheck", "components = 0", "components must be >= 1"),
+        ("gradcheck", "gradcheck", "step = tiny", "bad gradcheck step 'tiny'"),
+    ],
+    ids=["damping", "components", "components_zero", "step"],
+)
+def test_numeric_keys_report_spec_errors(mode, section, line, message):
+    text = MINIMAL.replace("mode = solve", f"mode = {mode}") + f"\n[{section}]\n{line}\n"
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert message in diag.message
+    assert diag.line == _diag_line(text, line)
