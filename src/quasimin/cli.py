@@ -8,7 +8,11 @@ on solver non-convergence; field dumps and summaries are byte-identical
 across reruns of the same spec.  Wall-clock timings go to a separate
 timing file so the compared artifacts stay deterministic.
 
-Exit codes: 0 converged, 2 not converged, 3 spec error, 4 I/O failure.
+Exit codes: 0 converged, 2 not converged or a numerical failure (the
+summary then carries `error`), 3 spec error, 4 I/O failure.  A failure
+counts as a spec error when it comes from evaluating what the spec gives:
+the grid, the boundary, source and tensor expressions, the box bound and
+the half-space geometry.
 QUASIMIN_NUM_THREADS caps the thread count of the underlying BLAS pools.
 """
 
@@ -32,7 +36,7 @@ _apply_thread_env()
 import numpy as np
 
 from . import fieldio
-from .energy import el_residual, energy, energy_raw, grad_raw
+from .energy import _cell_midpoints, el_residual, energy, energy_raw, grad_raw
 from .grids import BoundaryData, build_grid, sample_boundary
 from .optim import AdmissibleSet, minimize
 from .oracle import ConvergenceError, SourceField, solve_scalar_exact, solve_scalar_source
@@ -57,11 +61,22 @@ def _scalar_expr(vec):
     return fn
 
 
-def _boundary_data(grid, spec):
+def _from_spec(what, fn, *args, **kwargs):
+    """Run a step whose ValueError is a defect of the spec (exit 3)."""
     try:
-        return sample_boundary(grid, spec.boundary)
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise _RunError(3, f"boundary evaluation: {exc}") from None
+        raise _RunError(3, f"{what}: {exc}") from None
+
+
+def _grid_and_boundary(spec):
+    grid = _from_spec("grid", build_grid, spec.domain, spec.resolution)
+    return grid, _from_spec("boundary evaluation", sample_boundary, grid, spec.boundary)
+
+
+def _source_field(grid, expr):
+    values = _scalar_expr(expr)(grid.points())
+    return SourceField(grid, np.where(grid.in_mask, values, 0.0))
 
 
 def _summary_paths(spec, outdir):
@@ -88,9 +103,10 @@ def _solve_summary(report, extra):
 
 
 def _run_solve(spec, paths):
-    grid = build_grid(spec.domain, spec.resolution)
-    bdry = _boundary_data(grid, spec)
-    adm = AdmissibleSet.from_boundary(bdry, box=spec.box_bound)
+    grid, bdry = _grid_and_boundary(spec)
+    adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
+    if spec.tensor is not None:
+        _from_spec("tensor evaluation", spec.tensor.eval, _cell_midpoints(grid), adm.ncomp)
     U, report = minimize(grid, spec.weight, adm, A=spec.tensor, opts=spec.solver)
     ev = energy(grid, U, spec.weight, A=spec.tensor, q_exponents=_Q_EXPONENTS)
     res = el_residual(grid, U, spec.weight, A=spec.tensor)
@@ -109,21 +125,12 @@ def _run_solve(spec, paths):
 
 
 def _run_oracle(spec, paths):
-    grid = build_grid(spec.domain, spec.resolution)
-    bdry = _boundary_data(grid, spec)
+    grid, bdry = _grid_and_boundary(spec)
     if spec.source is not None:
-        src_vals = _scalar_expr(spec.source)(grid.points())
-        src = SourceField(grid, np.where(grid.in_mask, src_vals, 0.0))
-        try:
-            U, iters = solve_scalar_source(
-                grid, spec.weight, bdry, src, damping=spec.source_damping
-            )
-        except ConvergenceError as exc:
-            fieldio.write_summary(
-                {"mode": "oracle", "converged": False, "error": str(exc)},
-                paths["summary"],
-            )
-            return 2
+        src = _from_spec("source evaluation", _source_field, grid, spec.source)
+        U, iters = solve_scalar_source(
+            grid, spec.weight, bdry, src, damping=spec.source_damping
+        )
     else:
         U, iters = solve_scalar_exact(grid, spec.weight, bdry), 0
     ev = energy(grid, U, spec.weight, q_exponents=_Q_EXPONENTS)
@@ -143,8 +150,7 @@ def _run_oracle(spec, paths):
 
 
 def _run_sphere(spec, paths):
-    grid = build_grid(spec.domain, spec.resolution)
-    bdry = _boundary_data(grid, spec)
+    grid, bdry = _grid_and_boundary(spec)
     norms = np.linalg.norm(bdry.values, axis=-1)
     if norms.min() < 1e-8:
         raise _RunError(3, "sphere boundary expression vanishes at a node")
@@ -182,7 +188,11 @@ def _run_sphere(spec, paths):
 
 
 def _run_halfspace(spec, paths):
-    rep = solve_exhaustion(
+    # solve_exhaustion checks the geometry and the box bound in the same
+    # call as its solves, so every ValueError it raises counts as a spec error
+    rep = _from_spec(
+        "halfspace",
+        solve_exhaustion,
         phi=_scalar_expr(spec.halfspace_fn),
         w=spec.weight,
         radii=spec.radii,
@@ -214,7 +224,7 @@ def _run_halfspace(spec, paths):
 
 
 def _run_gradcheck(spec, paths, seed):
-    grid = build_grid(spec.domain, spec.resolution)
+    grid = _from_spec("grid", build_grid, spec.domain, spec.resolution)
     ncomp = spec.gradcheck_components
     w = spec.weight
     rng = np.random.default_rng(seed)
@@ -290,6 +300,7 @@ def main(argv=None) -> int:
     paths = _summary_paths(spec, args.out_dir)
 
     t0 = time.perf_counter()
+    failure = None
     try:
         if spec.mode == "solve":
             code = _run_solve(spec, paths)
@@ -304,14 +315,17 @@ def main(argv=None) -> int:
     except _RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 3
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        failure = {"mode": spec.mode, "converged": False, "error": str(exc)}
+        code = 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4
 
     try:
+        if failure is not None:
+            fieldio.write_summary(failure, paths["summary"])
         with open(paths["timing"], "w") as fh:
             fh.write(f"wall_time_s = {time.perf_counter() - t0:.6f}\n")
     except OSError as exc:

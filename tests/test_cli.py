@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasimin.cli import main
+from quasimin.oracle import ConvergenceError
 from quasimin.fieldio import read_field, write_field
 from quasimin import DomainSpec, Field, build_grid
 
@@ -226,3 +227,49 @@ def test_missing_spec_file(tmp_path, capsys):
     code = main(["solve", "--spec", str(tmp_path / "absent.cfg")])
     assert code == 4
     assert "cannot read spec" in capsys.readouterr().err
+
+
+def _raise_convergence(*args, **kwargs):
+    raise ConvergenceError("transform inversion did not converge")
+
+
+@pytest.mark.parametrize(
+    "text, mode, patch, message",
+    [
+        (ORACLE_SPEC.replace("alpha = 1.0", "alpha = 400").replace("values = x1", "values = 3*x1"),
+         "oracle", None, "transform density must be positive"),
+        (SOLVE_SPEC.replace("alpha = 1.0", "alpha = 1.0\nshift = 1000"),
+         "solve", None, "initial energy is not finite"),
+        (ORACLE_SPEC, "oracle", _raise_convergence, "transform inversion did not converge"),
+    ],
+    ids=["density_underflow", "infinite_energy", "convergence_error"],
+)
+def test_numerical_failure_exits_2_with_summary(tmp_path, monkeypatch, capsys,
+                                                text, mode, patch, message):
+    if patch is not None:
+        monkeypatch.setattr("quasimin.cli.solve_scalar_exact", patch)
+    with np.errstate(over="ignore"):
+        code, out = run(tmp_path, "n.cfg", text, mode)
+    assert code == 2
+    summary = read_summary(out / "summary.txt")
+    assert summary["converged"] == "false"
+    assert message in summary["error"]
+    assert "spec error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, mode, message",
+    [
+        (SOLVE_SPEC.replace("resolution = 17 17", "resolution = 2 2"), "solve", "grid"),
+        (SOLVE_SPEC + "\n[solver]\nbox_bound = 0.5\n", "solve", "box bound"),
+        (SOLVE_SPEC + "\n[tensor]\ndiagonal = 1\n", "solve", "tensor evaluation"),
+        (HALFSPACE_SPEC.replace("window = 0 0.5 ; 0 0.5", "window = 0 2 ; 0 2"),
+         "halfspace", "half-ball"),
+    ],
+    ids=["grid", "box_bound", "tensor", "halfspace_window"],
+)
+def test_failures_from_the_spec_exit_3(tmp_path, capsys, text, mode, message):
+    code, out = run(tmp_path, "s.cfg", text, mode)
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()

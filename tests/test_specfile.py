@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -215,8 +218,12 @@ def test_removed_step_rule_keys_are_unknown():
         ("gradcheck", "gradcheck", "components = two", "bad component count 'two'"),
         ("gradcheck", "gradcheck", "components = 0", "components must be >= 1"),
         ("gradcheck", "gradcheck", "step = tiny", "bad gradcheck step 'tiny'"),
+        ("oracle", "source", "damping = 2", "damping must lie in (0, 1]"),
+        ("solve", "sphere", "candidates = 8", "need at least 16 pole candidates"),
+        ("solve", "halfspace", "spacing = 0", "spacing must be positive"),
     ],
-    ids=["damping", "components", "components_zero", "step"],
+    ids=["damping", "components", "components_zero", "step", "damping_range",
+         "candidates_few", "spacing_zero"],
 )
 def test_numeric_keys_report_spec_errors(mode, section, line, message):
     text = MINIMAL.replace("mode = solve", f"mode = {mode}") + f"\n[{section}]\n{line}\n"
@@ -225,3 +232,50 @@ def test_numeric_keys_report_spec_errors(mode, section, line, message):
     (diag,) = err.value.diagnostics
     assert message in diag.message
     assert diag.line == _diag_line(text, line)
+
+
+def test_duplicate_key_is_refused_on_its_own_line():
+    text = MINIMAL.replace("resolution = 9 9", "resolution = 9 9\nresolution = 17 17")
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    first = _diag_line(text, "resolution = 9 9")
+    assert diag.line == _diag_line(text, "resolution = 17 17")
+    assert diag.message == f"duplicate key [domain] 'resolution'; first set on line {first}"
+
+
+def test_bad_value_is_reported_on_its_own_line():
+    text = MINIMAL.replace("kind = box", "kind = half_ball").replace(
+        "extents = 0 1 ; 0 1", "radius = abc"
+    )
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == _diag_line(text, "radius = abc")
+    assert "bad radius 'abc'" in diag.message
+
+
+def test_missing_key_is_reported_at_its_section_header():
+    text = MINIMAL.replace("extents = 0 1 ; 0 1\n", "").replace("kind = box\n", "")
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert diag.message == "box domain needs extents"
+    assert diag.line == _diag_line(text, "[domain]")
+
+
+_PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+_README_RUNS = {
+    path: mode
+    for mode, path in re.findall(
+        r"^quasimin (\w+) +--spec (problems/\S+\.cfg)",
+        (_PROBLEMS.parent / "README.md").read_text(),
+        flags=re.M,
+    )
+}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in _PROBLEMS.glob("*.cfg")))
+def test_shipped_examples_parse_in_their_readme_mode(path):
+    spec = parse_problem((_PROBLEMS / path).read_text())
+    assert spec.mode == _README_RUNS[f"problems/{path}"]
