@@ -53,14 +53,6 @@ class _RunError(Exception):
         self.code = code
 
 
-def _scalar_expr(vec):
-    def fn(points):
-        out = vec(points)
-        return out[..., 0] if vec.ncomp == 1 else out
-
-    return fn
-
-
 def _from_spec(what, fn, *args, **kwargs):
     """Run a step whose ValueError is a defect of the spec (exit 3)."""
     try:
@@ -75,7 +67,7 @@ def _grid_and_boundary(spec):
 
 
 def _source_field(grid, expr):
-    values = _scalar_expr(expr)(grid.points())
+    values = expr(grid.points())[..., 0]
     return SourceField(grid, np.where(grid.in_mask, values, 0.0))
 
 
@@ -193,7 +185,7 @@ def _run_halfspace(spec, paths):
     rep = _from_spec(
         "halfspace",
         solve_exhaustion,
-        phi=_scalar_expr(spec.halfspace_fn),
+        phi=spec.halfspace_fn,
         w=spec.weight,
         radii=spec.radii,
         h=spec.spacing,

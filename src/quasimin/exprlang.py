@@ -1,159 +1,158 @@
 """Small arithmetic expression language over point coordinates.
 
-Grammar: +, -, *, /, ^ (power), unary minus, the functions sin, cos, exp,
-log, abs, sqrt, min, max, numeric constants, pi, e, and the coordinate
-names x1..x9.  Comparisons (<, <=, >, >=) and and/or are allowed so mask
-predicates can be written directly.  Expressions compile to vectorized
-evaluators over coordinate arrays of shape (..., n).  Vector-valued
+Grammar: +, -, *, /, ^ (power), unary minus, the functions sin, cos, tan,
+exp, log, abs, sqrt, min, max, numeric constants, pi, e, and the coordinate
+names x1..x9.  Comparisons (<, <=, >, >=) and and/or give 0.0/1.0, so mask
+predicates can be written directly and indicators combine arithmetically.
+Division and the functions are quiet: 1/0 gives inf and log(0) gives -inf.
+Each expression compiles once, at parse time, into nested closures that
+evaluate vectorized over coordinate arrays of shape (..., n).  Vector-valued
 expressions are comma-separated component lists.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 import re
+from functools import reduce
 
 import numpy as np
 
 
 class ExprError(ValueError):
-    """Parse or evaluation failure, with a column offset when available."""
-
-    def __init__(self, message: str, col: int | None = None):
-        super().__init__(message)
-        self.col = col
+    """Parse or evaluation failure of an expression."""
 
 
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
+_TOO_DEEP = "expression nested too deeply"
+
+_quiet = np.errstate(divide="ignore", invalid="ignore")
+
+
+def _indicator(fn):
+    """fn with its boolean result as 0.0/1.0."""
+    return lambda *args: fn(*args).astype(float)
+
+
+def _fold(fn):
+    """fn applied left to right over two or more arguments."""
+    return lambda *args: reduce(fn, args)
+
+
+_UNARY = {ast.USub: operator.neg, ast.UAdd: lambda val: val}
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: _quiet(operator.truediv),
+    ast.Pow: operator.pow,
 }
-
+_COMPARE = {
+    ast.LtE: _indicator(operator.le),
+    ast.Lt: _indicator(operator.lt),
+    ast.GtE: _indicator(operator.ge),
+    ast.Gt: _indicator(operator.gt),
+}
+_BOOL = {ast.And: _indicator(_fold(np.logical_and)), ast.Or: _indicator(_fold(np.logical_or))}
+# each function is the numpy function of the same name
+_FUNCS = {name: _quiet(getattr(np, name))
+          for name in ("sin", "cos", "tan", "exp", "log", "abs", "sqrt")}
+_MINMAX = {"min": _fold(np.minimum), "max": _fold(np.maximum)}
 _CONSTS = {"pi": np.pi, "e": np.e}
 
-_COORD_RE = re.compile(r"^x([1-9])$")
+
+def _constant(value: float):
+    return lambda points: np.full(points.shape[:-1], value)
+
+
+def _apply(table, key, message, *operands):
+    """Closure applying table[key] to the operands' values, left to right."""
+    if key not in table:
+        raise ExprError(message)
+    fn, args = table[key], tuple(map(_compile, operands))
+    return lambda points: fn(*[a(points) for a in args])
+
+
+def _compile(node):
+    """Check one AST node and turn it into a closure points -> values."""
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ExprError(f"unsupported constant {node.value!r}")
+        return _constant(float(node.value))
+    if isinstance(node, ast.Name):
+        if re.fullmatch("x[1-9]", node.id):
+            k = int(node.id[1]) - 1
+            return lambda points: points[..., k]
+        if node.id in _CONSTS:
+            return _constant(_CONSTS[node.id])
+        raise ExprError(f"unknown name {node.id!r}")
+    if isinstance(node, ast.UnaryOp):
+        return _apply(_UNARY, type(node.op), "unsupported unary operator", node.operand)
+    if isinstance(node, ast.BinOp):
+        return _apply(_BINARY, type(node.op), "unsupported binary operator",
+                      node.left, node.right)
+    if isinstance(node, ast.Compare):
+        if len(node.ops) != 1:
+            raise ExprError("chained comparisons not allowed")
+        return _apply(_COMPARE, type(node.ops[0]), "unsupported comparison",
+                      node.left, node.comparators[0])
+    if isinstance(node, ast.BoolOp):
+        return _apply(_BOOL, type(node.op), "unsupported boolean operator", *node.values)
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.keywords:
+            raise ExprError("only plain function calls allowed")
+        name, nargs = node.func.id, len(node.args)
+        if name in _MINMAX and nargs < 2:
+            raise ExprError(f"{name} needs at least two arguments")
+        if name in _FUNCS and nargs != 1:
+            raise ExprError(f"{name} takes one argument")
+        table = _MINMAX if name in _MINMAX else _FUNCS
+        return _apply(table, name, f"unknown function {name!r}", *node.args)
+    raise ExprError(f"unsupported syntax {type(node).__name__}")
 
 
 class Expr:
     """One compiled scalar-valued expression."""
 
-    def __init__(self, text: str, tree: ast.expression):
-        self.text = text
-        self._tree = tree
+    def __init__(self, fn):
+        self._fn = fn
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return self._eval(self._tree, points)
+        try:
+            return self._fn(points)
+        except RecursionError:
+            raise ExprError(_TOO_DEEP) from None
+        except IndexError:  # a coordinate x_k with k > n
+            raise ExprError(f"a coordinate exceeds dimension {points.shape[-1]}") from None
 
-    def _eval(self, node, points):
-        ndim = points.shape[-1]
-        if isinstance(node, ast.Expression):
-            return self._eval(node.body, points)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return np.full(points.shape[:-1], float(node.value))
-            raise ExprError(f"unsupported constant {node.value!r}", node.col_offset)
-        if isinstance(node, ast.Name):
-            m = _COORD_RE.match(node.id)
-            if m:
-                k = int(m.group(1)) - 1
-                if k >= ndim:
-                    raise ExprError(
-                        f"coordinate {node.id} exceeds dimension {ndim}", node.col_offset
-                    )
-                return points[..., k]
-            if node.id in _CONSTS:
-                return np.full(points.shape[:-1], _CONSTS[node.id])
-            raise ExprError(f"unknown name {node.id!r}", node.col_offset)
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval(node.operand, points)
-            if isinstance(node.op, ast.USub):
-                return -val
-            if isinstance(node.op, ast.UAdd):
-                return val
-            raise ExprError("unsupported unary operator", node.col_offset)
-        if isinstance(node, ast.BinOp):
-            lhs = self._eval(node.left, points)
-            rhs = self._eval(node.right, points)
-            if isinstance(node.op, ast.Add):
-                return lhs + rhs
-            if isinstance(node.op, ast.Sub):
-                return lhs - rhs
-            if isinstance(node.op, ast.Mult):
-                return lhs * rhs
-            if isinstance(node.op, ast.Div):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return lhs / rhs
-            if isinstance(node.op, ast.Pow):
-                return lhs**rhs
-            raise ExprError("unsupported binary operator", node.col_offset)
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name):
-                raise ExprError("only plain function calls allowed", node.col_offset)
-            name = node.func.id
-            args = [self._eval(a, points) for a in node.args]
-            if name in ("min", "max"):
-                if len(args) < 2:
-                    raise ExprError(f"{name} needs at least two arguments", node.col_offset)
-                op = np.minimum if name == "min" else np.maximum
-                out = args[0]
-                for a in args[1:]:
-                    out = op(out, a)
-                return out
-            if name in _FUNCS:
-                if len(args) != 1:
-                    raise ExprError(f"{name} takes one argument", node.col_offset)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return _FUNCS[name](args[0])
-            raise ExprError(f"unknown function {name!r}", node.col_offset)
-        if isinstance(node, ast.Compare):
-            if len(node.ops) != 1:
-                raise ExprError("chained comparisons not allowed", node.col_offset)
-            lhs = self._eval(node.left, points)
-            rhs = self._eval(node.comparators[0], points)
-            op = node.ops[0]
-            if isinstance(op, ast.LtE):
-                return lhs <= rhs
-            if isinstance(op, ast.Lt):
-                return lhs < rhs
-            if isinstance(op, ast.GtE):
-                return lhs >= rhs
-            if isinstance(op, ast.Gt):
-                return lhs > rhs
-            raise ExprError("unsupported comparison", node.col_offset)
-        if isinstance(node, ast.BoolOp):
-            vals = [self._eval(v, points) for v in node.values]
-            op = np.logical_and if isinstance(node.op, ast.And) else np.logical_or
-            out = vals[0]
-            for v in vals[1:]:
-                out = op(out, v)
-            return out
-        raise ExprError(
-            f"unsupported syntax {type(node).__name__}", getattr(node, "col_offset", None)
-        )
+
+def _parse(text: str, vector: bool) -> list[Expr]:
+    """Compile text, '^' meaning power; a vector's components form a top-level tuple."""
+    cooked = text.strip().replace("^", "**")
+    try:
+        node = ast.parse(cooked, mode="eval").body
+        parts = node.elts if vector and isinstance(node, ast.Tuple) else [node]
+        exprs = [Expr(_compile(part)) for part in parts]
+    except SyntaxError as exc:
+        raise ExprError(f"syntax error: {exc.msg}") from None
+    except RecursionError:
+        raise ExprError(_TOO_DEEP) from None
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ExprError(str(exc)) from None
+    # a trailing comma, as in "x1," or "(x1,)", leaves an empty last component
+    if not parts or b"," in cooked.encode()[parts[-1].end_col_offset:node.end_col_offset]:
+        raise ExprError("empty component in vector expression")
+    # evaluate once, so that an expression too deep to evaluate fails here
+    with np.errstate(all="ignore"):
+        for expr in exprs:
+            expr(np.zeros((1, 9)))
+    return exprs
 
 
 def parse_expr(text: str) -> Expr:
     """Compile one scalar expression; '^' is accepted for power."""
-    cooked = text.replace("^", "**")
-    try:
-        tree = ast.parse(cooked, mode="eval")
-    except SyntaxError as exc:
-        raise ExprError(f"syntax error: {exc.msg}", exc.offset) from None
-    expr = Expr(text, tree)
-    # validate node types eagerly on a probe point so errors surface at parse time
-    try:
-        expr(np.zeros((1, 9)))
-    except ExprError:
-        raise
-    except FloatingPointError:
-        pass
-    return expr
+    return _parse(text, vector=False)[0]
 
 
 class VectorExpr:
@@ -171,44 +170,6 @@ class VectorExpr:
         return np.stack([c(points) for c in self.components], axis=-1)
 
 
-def _split_components(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def parse_vector_expr(text: str) -> VectorExpr:
-    """Compile a vector expression from top-level comma-separated parts."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
-        if _balanced(inner):
-            text = inner
-    parts = [p.strip() for p in _split_components(text)]
-    if any(not p for p in parts):
-        raise ExprError("empty component in vector expression")
-    return VectorExpr([parse_expr(p) for p in parts])
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth < 0:
-            return False
-    return depth == 0
+    """Compile a vector expression from its comma-separated components."""
+    return VectorExpr(_parse(text, vector=True))

@@ -265,8 +265,10 @@ def test_numerical_failure_exits_2_with_summary(tmp_path, monkeypatch, capsys,
         (SOLVE_SPEC + "\n[tensor]\ndiagonal = 1\n", "solve", "tensor evaluation"),
         (HALFSPACE_SPEC.replace("window = 0 0.5 ; 0 0.5", "window = 0 2 ; 0 2"),
          "halfspace", "half-ball"),
+        (SOLVE_SPEC.replace("values = x1 * x2", "values = " + " + ".join(["x1"] * 1000)),
+         "solve", "bad boundary expression"),
     ],
-    ids=["grid", "box_bound", "tensor", "halfspace_window"],
+    ids=["grid", "box_bound", "tensor", "halfspace_window", "nested_boundary"],
 )
 def test_failures_from_the_spec_exit_3(tmp_path, capsys, text, mode, message):
     code, out = run(tmp_path, "s.cfg", text, mode)

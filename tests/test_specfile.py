@@ -33,6 +33,33 @@ def test_expr_errors():
         parse_expr("sinh(x1)")
     with pytest.raises(ExprError, match="syntax"):
         parse_expr("x1 + ")
+    # 1000 terms nest too deeply to compile, 3000 too deeply for Python's parser
+    for terms in (1000, 3000):
+        with pytest.raises(ExprError, match="expression nested too deeply"):
+            parse_expr(" + ".join(["x1"] * terms))
+    with pytest.raises(ExprError, match="only plain function calls allowed"):
+        parse_expr("exp(x1, y=2)")
+    with pytest.raises(ExprError, match="too large to convert to float"):
+        parse_expr("1" + "0" * 400)
+    for text in ("x1,", "(x1,)", "x1, x2,", "()"):
+        with pytest.raises(ExprError, match="empty component"):
+            parse_vector_expr(text)
+
+
+def test_expr_comparisons_are_zero_one_floats():
+    pts = np.array([[0.25, 0.75], [0.75, 0.25], [0.25, 0.25]])
+    diff = parse_expr("(x1 < 0.5) - (x2 < 0.5)")(pts)
+    assert diff.dtype == float
+    assert list(diff) == [1.0, -1.0, 0.0]
+    assert list(parse_expr("-(x1 < 0.5)")(pts)) == [-1.0, -0.0, -1.0]
+    assert list(parse_expr("2 * (x1 < 0.5 or x2 < 0.5)")(pts)) == [2.0, 2.0, 2.0]
+
+
+def test_expr_division_and_log_are_quiet():
+    pts = np.array([[0.0], [1.0]])
+    with np.errstate(all="raise"):
+        assert list(parse_expr("1/x1")(pts)) == [np.inf, 1.0]
+        assert list(parse_expr("log(x1)")(pts)) == [-np.inf, 0.0]
 
 
 def test_vector_expr_components():
@@ -45,6 +72,7 @@ def test_vector_expr_components():
     # parenthesized commas do not split components
     v2 = parse_vector_expr("min(x1, 0), max(x1, 0)")
     assert v2.ncomp == 2
+    assert parse_vector_expr("(x1, (x1))").ncomp == 2
 
 
 MINIMAL = """
@@ -99,6 +127,17 @@ def test_bad_expression_position():
     with pytest.raises(SpecError) as err:
         parse_problem(text)
     assert any("boundary expression" in d.message for d in err.value.diagnostics)
+
+
+def test_deeply_nested_expression_is_reported_on_its_line():
+    line = "values = " + " + ".join(["x1"] * 1000)
+    text = MINIMAL.replace("values = x1", line)
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == _diag_line(text, line)
+    assert "bad boundary expression" in diag.message
+    assert "expression nested too deeply" in diag.message
 
 
 def test_unknown_mode_and_missing_keys():
