@@ -5,7 +5,8 @@ Solves the scalar problem with f(u) = -u^2 and boundary data x*y on the
 unit square at a ladder of resolutions, comparing the box-constrained
 minimizer against the exact transform solution (harmonic extension of
 W(phi) mapped back through W^{-1}).  Both discretizations are second
-order, so their gap should shrink by roughly 4x per refinement.
+order, so their gap should shrink by roughly 4x per refinement, while the
+preconditioned descent's iteration count stays flat.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from quasimin import (
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--levels", type=int, nargs="+", default=[9, 17, 33, 65])
+    ap.add_argument("--levels", type=int, nargs="+", default=[9, 17, 33, 65, 129, 257])
     args = ap.parse_args()
 
     w = gaussian(1.0)

@@ -36,7 +36,7 @@ _apply_thread_env()
 import numpy as np
 
 from . import fieldio
-from .energy import _cell_midpoints, el_residual, energy, energy_raw, grad_raw
+from .energy import el_residual, energy, energy_raw, grad_raw, sample_tensor
 from .grids import BoundaryData, build_grid, sample_boundary
 from .optim import AdmissibleSet, minimize
 from .oracle import ConvergenceError, SourceField, solve_scalar_exact, solve_scalar_source
@@ -89,6 +89,9 @@ def _solve_summary(report, extra):
         "tol_pg": report.tol_pg,
         "active_constraints": report.active_count,
         "line_search_failures": report.line_search_failures,
+        "energy_evals": report.energy_evals,
+        "backtracks": report.backtracks,
+        "preconditioned_steps": report.preconditioned_steps,
     }
     items.update(extra)
     return items
@@ -97,10 +100,11 @@ def _solve_summary(report, extra):
 def _run_solve(spec, paths):
     grid, bdry = _grid_and_boundary(spec)
     adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
-    if spec.tensor is not None:
-        _from_spec("tensor evaluation", spec.tensor.eval, _cell_midpoints(grid), adm.ncomp)
-    U, report = minimize(grid, spec.weight, adm, A=spec.tensor, opts=spec.solver)
-    ev = energy(grid, U, spec.weight, A=spec.tensor, q_exponents=_Q_EXPONENTS)
+    # the tensor at the cell midpoints, sampled once for the solve and the
+    # energy report
+    A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor, adm.ncomp)
+    U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
+    ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
     res = el_residual(grid, U, spec.weight, A=spec.tensor)
     extra = {
         "mode": "solve",
@@ -222,7 +226,8 @@ def _run_gradcheck(spec, paths, seed):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.0, 1.0, grid.dims + (ncomp,))
     vals[~grid.in_mask] = 0.0
-    analytic = grad_raw(grid, vals, w, spec.tensor)
+    A = sample_tensor(grid, spec.tensor, ncomp)
+    analytic = grad_raw(grid, vals, w, A)
     step = spec.gradcheck_step * (1.0 + float(np.abs(vals).max()))
     fd = np.zeros_like(analytic)
     for idx in np.ndindex(*grid.dims):
@@ -234,8 +239,8 @@ def _run_gradcheck(spec, paths, seed):
             dn = vals.copy()
             dn[idx + (a,)] -= step
             fd[idx + (a,)] = (
-                energy_raw(grid, up, w, spec.tensor)[0]
-                - energy_raw(grid, dn, w, spec.tensor)[0]
+                energy_raw(grid, up, w, A)[0]
+                - energy_raw(grid, dn, w, A)[0]
             ) / (2.0 * step)
     denom = max(float(np.abs(analytic).max()), 1e-300)
     rel = float(np.abs(analytic - fd).max()) / denom

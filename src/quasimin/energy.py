@@ -90,6 +90,33 @@ class CoefficientTensor:
         return out
 
 
+@dataclass(frozen=True)
+class SampledTensor:
+    """A coefficient tensor symmetrized at the cell midpoints of one grid.
+
+    The midpoints do not move during a solve, so minimize samples once and
+    every energy evaluation reuses Asym (cells + (n, n, N, N)).
+    """
+
+    Asym: np.ndarray
+    sym_delta: float
+
+
+def sample_tensor(grid: Grid, A, ncomp: int) -> SampledTensor | None:
+    """Sample A at the cell midpoints; None for the isotropic |DU|^2 path.
+
+    A may be None, a CoefficientTensor, or an already sampled tensor.
+    """
+    if A is None or isinstance(A, SampledTensor):
+        return A
+    if A.is_identity:
+        return None
+    Aval = A.eval(_cell_midpoints(grid), ncomp)
+    Asym = 0.5 * (Aval + Aval.transpose(tuple(range(Aval.ndim - 4)) + (-3, -4, -1, -2)))
+    sym_delta = float(np.abs(Aval - Asym).max()) if Aval.size else 0.0
+    return SampledTensor(Asym, sym_delta)
+
+
 @dataclass
 class EnergyValue:
     """Assembled energy with per-cell contributions and diagnostics."""
@@ -108,12 +135,12 @@ def _corner_slices(offset, dims):
     return tuple(slice(o, d - 1 + o) for o, d in zip(offset, dims))
 
 
-def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A):
+def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | None):
     """Shared per-cell quantities for energy and gradient assembly.
 
     Returns (weight e^{f_base} per cell, DU per cell (..., n, N), quadratic
-    form per cell, A-weighted gradient G with dQ/dDU = 2G, cell mask,
-    symmetrization delta).
+    form per cell, A-weighted gradient G with dQ/dDU = 2G, cell mask, cell
+    average of U).
     """
     dims = grid.dims
     ndim = grid.ndim
@@ -140,18 +167,13 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A):
 
     wcell = np.exp(w.f_base(ubar))
 
-    sym_delta = 0.0
-    if A is None or A.is_identity:
+    if A is None:
         Q = np.sum(D * D, axis=(-2, -1))
         G = D
     else:
-        mids = _cell_midpoints(grid)
-        Aval = A.eval(mids, ncomp)
-        Asym = 0.5 * (Aval + Aval.transpose(tuple(range(Aval.ndim - 4)) + (-3, -4, -1, -2)))
-        sym_delta = float(np.abs(Aval - Asym).max()) if Aval.size else 0.0
-        G = np.einsum("...ijab,...jb->...ia", Asym, D)
+        G = np.einsum("...ijab,...jb->...ia", A.Asym, D)
         Q = np.einsum("...ia,...ia->...", D, G)
-    return wcell, D, Q, G, cell_in, ubar, sym_delta
+    return wcell, D, Q, G, cell_in, ubar
 
 
 def _cell_midpoints(grid: Grid) -> np.ndarray:
@@ -166,11 +188,14 @@ def _cell_midpoints(grid: Grid) -> np.ndarray:
 def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
     """Energy value, per-cell contributions, symmetrization delta, and grad.
 
-    grad is a zero-argument closure over this call's cell-kernel outputs;
-    calling it returns the exact gradient at the same values without a
-    second kernel pass.
+    A is None, a CoefficientTensor (sampled on this call) or a
+    SampledTensor.  grad is a zero-argument closure over this call's
+    cell-kernel outputs; calling it returns the exact gradient at the same
+    values without a second kernel pass.
     """
-    wcell, _, Q, G, cell_in, ubar, sym_delta = _cell_kernel(grid, values, w, A)
+    A = sample_tensor(grid, A, values.shape[-1])
+    sym_delta = A.sym_delta if A is not None else 0.0
+    wcell, _, Q, G, cell_in, ubar = _cell_kernel(grid, values, w, A)
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
 
     def grad() -> np.ndarray:
@@ -204,7 +229,8 @@ def grad_raw(grid: Grid, values: np.ndarray, w: Weight, A=None) -> np.ndarray:
     return energy_raw(grid, values, w, A)[3]()
 
 
-def energy(grid: Grid, U: Field, w: Weight, A: CoefficientTensor | None = None,
+def energy(grid: Grid, U: Field, w: Weight,
+           A: CoefficientTensor | SampledTensor | None = None,
            q_exponents: Sequence[float] = ()) -> EnergyValue:
     """Assemble E(U) = sum_cells e^{f(Ubar)} Q(DU) vol over in-domain cells.
 
@@ -216,7 +242,7 @@ def energy(grid: Grid, U: Field, w: Weight, A: CoefficientTensor | None = None,
     value, cells, sym_delta, _ = energy_raw(grid, U.values, w, A)
     q_norms = {}
     if q_exponents:
-        _, D, _, _, cell_in, _, _ = _cell_kernel(grid, U.values, w, None)
+        _, D, _, _, cell_in, _ = _cell_kernel(grid, U.values, w, None)
         grad_sq = np.sum(D * D, axis=(-2, -1))
         for q in q_exponents:
             q = float(q)

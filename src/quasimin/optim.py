@@ -2,14 +2,28 @@
 
 The admissible set couples a componentwise box bound -C <= U <= C on
 interior nodes with exact Dirichlet equality on boundary nodes.  Descent
-uses Barzilai-Borwein step lengths safeguarded into [1e-12, 1e6] with
-monotone Armijo backtracking (factor 1/2, parameter 1e-4) along the
-projected path, so every iterate is feasible bit-exactly and the energy
-history never increases.  Both line-search values are fixed module
-constants (_BACKTRACK, _ARMIJO_C), not solver options.  Convergence is
-declared on the sup norm of the projected gradient: gradient components
-are zeroed wherever a bound is active and the descent direction points
-out of the box.
+takes Barzilai-Borwein (BB1) step lengths safeguarded into [1e-12, 1e6]
+with monotone Armijo backtracking (factor 1/2, parameter 1e-4) on the true
+energy along the projected path, so every iterate is feasible bit-exactly
+and the energy history never increases.  Both line-search values are
+fixed module constants (_BACKTRACK, _ARMIJO_C), not solver options.
+Convergence is declared on the sup norm of the projected gradient:
+gradient components are zeroed wherever a bound is active and the descent
+direction points out of the box.
+
+On box grids, whose interior is every non-hull lattice node,
+box_laplacian_inverse gives DST-I inverses of Dirichlet Laplacians.  There
+the harmonic-extension start is one 5-point Poisson solve, and while no
+interior component sits on its box bound the descent steps along the
+Sobolev gradient d = K^{-1} g / vol (Neuberger), where K is the
+cell-averaged Laplacian, the Hessian of the isotropic energy up to the
+factor 2 vol.  The BB1 length is taken in the same metric,
+<s, vol K s> / <s, y>: a spectral projected gradient in H^1 (Birgin,
+Martinez and Raydan 2000), whose iteration count stays flat under
+refinement.  While a bound is active, and on every masked or half-ball
+grid, it takes plain projected BB steps along g; each step kind keeps its
+own BB length.  A coefficient tensor is sampled at the cell midpoints once
+per solve.
 
 No claim of global minimality is made; the energy is nonconvex and
 different initializations may reach different stationary points (which is
@@ -18,14 +32,15 @@ how the two harmonic-map solutions are exposed).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CoefficientTensor, energy_raw, grad_raw
+from .energy import CoefficientTensor, SampledTensor, energy_raw, grad_raw, sample_tensor
 from .grids import BoundaryData, Field, Grid
-from .oracle import poisson_dirichlet
+from .oracle import _neighbor_sum, poisson_dirichlet
 from .weights import Weight
 
 _STEP_MIN = 1e-12
@@ -94,6 +109,9 @@ class SolveReport:
     tol_pg: float
     line_search_failures: int = 0
     stall_reason: str = ""
+    energy_evals: int = 0
+    backtracks: int = 0
+    preconditioned_steps: int = 0
 
     @property
     def final_energy(self) -> float:
@@ -133,6 +151,72 @@ def _projected_gradient(values: np.ndarray, grad: np.ndarray,
     return pg
 
 
+def box_laplacian_inverse(grid: Grid, averaged: bool = False):
+    """DST-I inverse of a Dirichlet Laplacian on a box grid.
+
+    The default operator is the 5-point stencil -Delta_h.  averaged=True
+    gives the cell-averaged Laplacian K, whose second difference along each
+    axis is averaged with weights (1/4, 1/2, 1/4) along every other axis:
+    sum over cells of |DU|^2 vol is vol <U, K U>, so K is the Hessian of
+    the isotropic energy up to the factor 2 vol.  In one dimension the two
+    coincide.  Both are diagonal in the DST-I basis.
+
+    Returns a function taking a full-lattice array r (grid dims, then any
+    component axes) to v that solves the chosen operator's equation with r
+    on interior nodes and is 0 elsewhere; entries of r off the interior
+    are never read.  Returns None
+    unless the interior nodes are exactly the lattice's non-hull nodes.
+    """
+    inner = tuple(d - 2 for d in grid.dims)
+    if grid.num_interior != math.prod(inner):
+        return None
+    # imported here: scipy.fft costs about 80 ms at import, and only box
+    # solves need it
+    from scipy.fft import dstn, idstn
+
+    def along(v, ax):
+        return v.reshape([-1 if k == ax else 1 for k in range(grid.ndim)])
+
+    # sin^2(theta / 2) of the DST-I frequencies theta = pi j / (m + 1)
+    sin2 = [np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 for m in inner]
+    eig = np.zeros(inner)
+    for i, h in enumerate(grid.spacing):
+        term = along(4.0 * sin2[i] / h**2, i)
+        if averaged:
+            for j in range(grid.ndim):
+                if j != i:
+                    term = term * along(1.0 - sin2[j], j)
+        eig += term
+    axes = tuple(range(grid.ndim))
+    core = (slice(1, -1),) * grid.ndim
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        lam = eig.reshape(inner + (1,) * (r.ndim - grid.ndim))
+        out = np.zeros(r.shape)
+        out[core] = idstn(dstn(r[core], type=1, axes=axes) / lam, type=1, axes=axes)
+        return out
+
+    return apply
+
+
+def _averaged_form(s: np.ndarray, grid: Grid) -> float:
+    """<s, K s> for the cell-averaged Laplacian K, s zero on the hull.
+
+    This is the sum over cells of |Ds|^2: per axis, the difference along
+    it averaged over the cell's corners along the others.
+    """
+    total = 0.0
+    for ax, h in enumerate(grid.spacing):
+        diff = np.diff(s, axis=ax) / h
+        for other in range(grid.ndim):
+            if other != ax:
+                lo = (slice(None),) * other + (slice(None, -1),)
+                hi = (slice(None),) * other + (slice(1, None),)
+                diff = 0.5 * (diff[lo] + diff[hi])
+        total += float(np.sum(diff * diff))
+    return total
+
+
 def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
     if isinstance(init, Field):
         if init.values.shape != grid.dims + (adm.ncomp,):
@@ -142,6 +226,10 @@ def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
         const = adm.boundary.values.mean(axis=0)
         return np.tile(const, grid.dims + (1,))
     if init == "harmonic_extension":
+        lap_inv = box_laplacian_inverse(grid)
+        if lap_inv is not None:
+            bfield = adm.boundary.scatter()
+            return lap_inv(_neighbor_sum(bfield, grid)) + bfield
         vals = np.zeros(grid.dims + (adm.ncomp,))
         for a in range(adm.ncomp):
             comp = BoundaryData(grid, adm.boundary.values[:, a])
@@ -150,8 +238,15 @@ def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
     raise ValueError(f"unknown initialization {init!r}")
 
 
+def _at_bound(values: np.ndarray, grid: Grid, adm: AdmissibleSet) -> np.ndarray:
+    """Mask of the interior components that sit on their box bound."""
+    at = (values >= adm.box) | (values <= -adm.box)
+    at[~grid.interior_mask] = False
+    return at
+
+
 def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
-             A: CoefficientTensor | None = None,
+             A: CoefficientTensor | SampledTensor | None = None,
              opts: SolveOptions | None = None) -> tuple[Field, SolveReport]:
     """Minimize the discrete energy over the admissible set.
 
@@ -161,9 +256,13 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
+    # the midpoints never move: sample and symmetrize the tensor once
+    A = sample_tensor(grid, A, adm.ncomp)
+    precond = box_laplacian_inverse(grid, averaged=True)
 
     U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
     E, _, _, grad = energy_raw(grid, U, w, A)
+    evals = 1
     if not np.isfinite(E):
         raise ValueError("initial energy is not finite")
     g = grad()
@@ -174,34 +273,50 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     energies = [E]
     pgs = [pgn]
     ls_failures = 0
+    backtracks = 0
+    pre_steps = 0
     stall = ""
     converged = pgn <= tol
     iters = 0
-    # bootstrap with a small relative step; BB takes over after the first
-    # (s, y) pair is available
-    tau = 1e-3 * (1.0 + float(np.abs(U).max())) / (1.0 + pgn)
-    prev_tau = 1.0
+    # step lengths per step kind, [plain, preconditioned]; each bootstraps
+    # with a small relative step, and BB takes over after the first (s, y)
+    # pair is available
+    scale = 1e-3 * (1.0 + float(np.abs(U).max()))
+    taus = [scale / (1.0 + pgn), None]
+    prev_taus = [1.0, 1.0]
     best_pg = pgn
     best_E = E
     last_progress = 0
 
     while not converged and iters < opts.max_iters:
-        tau = float(np.clip(tau, _STEP_MIN, _STEP_MAX))
+        pre = precond is not None and not _at_bound(U, grid, adm).any()
+        if pre:
+            d = precond(g) / grid.cell_volume
+            if taus[1] is None:
+                taus[1] = scale / (1.0 + float(np.abs(d).max()))
+        else:
+            d = g
+        tau = float(np.clip(taus[pre], _STEP_MIN, _STEP_MAX))
         for _ in range(_BACKTRACK_LIMIT):
-            U_new = _project_values(U - tau * g, grid, adm)
+            U_new = _project_values(U - tau * d, grid, adm)
             step = U_new - U
             dd = float(np.sum(g * step))
             E_new, _, _, grad = energy_raw(grid, U_new, w, A)
-            if np.isfinite(E_new) and E_new <= E + _ARMIJO_C * dd:
+            evals += 1
+            # a clipped preconditioned step may point uphill (dd > 0);
+            # it must still not raise the energy
+            if np.isfinite(E_new) and E_new <= E + _ARMIJO_C * min(dd, 0.0):
                 break
             tau *= _BACKTRACK
+            backtracks += 1
         else:
             # safeguarded fallback: accept any plain decrease at the
             # smallest step, otherwise stop at the current iterate
             ls_failures += 1
             tau = _STEP_MIN
-            U_new = _project_values(U - tau * g, grid, adm)
+            U_new = _project_values(U - tau * d, grid, adm)
             E_new, _, _, grad = energy_raw(grid, U_new, w, A)
+            evals += 1
             if not (np.isfinite(E_new) and E_new <= E):
                 stall = "line search stalled at the minimum step"
                 break
@@ -210,18 +325,23 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         s = U_new - U
         y = g_new - g
         sy = float(np.sum(s * y))
-        ss = float(np.sum(s * s))
-        if sy > 1e-300 and ss > 0:
-            tau_next = ss / sy
-        else:
-            tau_next = min(_STEP_MAX, 2.0 * max(tau, prev_tau))
-        prev_tau = tau
-        tau = float(np.clip(tau_next, _STEP_MIN, _STEP_MAX))
+        # BB1 length of each kind in its own metric: <s, s> for plain
+        # steps, <s, vol K s> for preconditioned ones
+        norms = [float(np.sum(s * s))]
+        if precond is not None:
+            norms.append(grid.cell_volume * _averaged_form(s, grid))
+        for k, ss in enumerate(norms):
+            if sy > 1e-300 and ss > 0:
+                taus[k] = ss / sy
+            elif k == pre:
+                taus[k] = 2.0 * max(tau, prev_taus[k])
+        prev_taus[pre] = tau
 
         U, E, g = U_new, E_new, g_new
         pg = _projected_gradient(U, g, grid, adm)
         pgn = float(np.abs(pg).max())
         iters += 1
+        pre_steps += pre
         energies.append(E)
         pgs.append(pgn)
         converged = pgn <= tol
@@ -236,18 +356,19 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             stall = "no progress at numerical precision"
             break
 
-    at_bound = (U >= adm.box) | (U <= -adm.box)
-    at_bound[~grid.interior_mask] = False
     report = SolveReport(
         iterations=iters,
         energy_history=np.asarray(energies),
         pg_history=np.asarray(pgs),
-        active_count=int(at_bound.any(axis=-1).sum()),
+        active_count=int(_at_bound(U, grid, adm).any(axis=-1).sum()),
         wall_time=time.perf_counter() - t0,
         converged=bool(converged),
         tol_pg=float(tol),
         line_search_failures=ls_failures,
         stall_reason=stall,
+        energy_evals=evals,
+        backtracks=backtracks,
+        preconditioned_steps=pre_steps,
     )
     return Field(grid, adm.ncomp, U), report
 

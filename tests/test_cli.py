@@ -114,6 +114,16 @@ def test_solve_run_and_outputs(tmp_path):
     assert len(lines) - 4 == 17 * 17
 
 
+def test_solve_summary_counts_the_work(tmp_path):
+    code, out = run(tmp_path, "p.cfg", SOLVE_SPEC, "solve")
+    assert code == 0
+    summary = read_summary(out / "summary.txt")
+    iters = int(summary["iterations"])
+    assert int(summary["energy_evals"]) == 1 + iters + int(summary["backtracks"])
+    # a box grid with no active bound takes only preconditioned steps
+    assert int(summary["preconditioned_steps"]) == iters
+
+
 def test_field_round_trip_bit_exact(tmp_path):
     g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (7, 7))
     rng = np.random.default_rng(0)

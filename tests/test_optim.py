@@ -18,6 +18,9 @@ from quasimin import (
     sample_boundary,
     solve_scalar_exact,
 )
+from quasimin.energy import grad_raw
+from quasimin.grids import shifted
+from quasimin.optim import _averaged_form, box_laplacian_inverse
 
 
 def square(n):
@@ -194,3 +197,93 @@ def test_final_pg_equals_kkt_residual(phi, alpha, active):
     u, rep = minimize(g, gaussian(alpha), adm)
     assert rep.iterations > 0 and (rep.active_count > 0) == active
     assert rep.final_pg == kkt_residual(g, u, gaussian(alpha), adm)
+
+
+def _boxes():
+    # unequal spacing on every axis
+    yield build_grid(DomainSpec.box([(0, 1)]), (19,))
+    yield build_grid(DomainSpec.box([(0, 1), (0, 3)]), (13, 21))
+    yield build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (9, 12, 7))
+
+
+def test_box_laplacian_inverse_is_none_off_the_box():
+    disk = DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: np.sum(x * x, axis=-1) <= 1.0)
+    for domain in (disk, DomainSpec.half_ball(1.0, 2)):
+        g = build_grid(domain, (17, 17))
+        assert box_laplacian_inverse(g) is None
+        assert box_laplacian_inverse(g, averaged=True) is None
+
+
+@pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
+def test_box_laplacian_inverse_solves_the_5_point_stencil(grid):
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal(grid.dims + (2,))
+    v = box_laplacian_inverse(grid)(r)
+    assert np.all(v[~grid.interior_mask] == 0.0)
+    lap = np.zeros_like(v)
+    for ax, h in enumerate(grid.spacing):
+        lap += (2.0 * v - shifted(v, ax, +1) - shifted(v, ax, -1)) / h**2
+    inner = grid.interior_mask
+    assert np.abs(lap[inner] - r[inner]).max() <= 1e-12 * np.abs(r[inner]).max()
+
+
+@pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
+def test_averaged_inverse_is_the_energy_hessian(grid):
+    # with a constant weight the energy is vol <U, K U>, so its gradient at
+    # K^{-1} r (zero boundary data) is 2 vol r on interior nodes
+    rng = np.random.default_rng(4)
+    r = rng.standard_normal(grid.dims + (1,))
+    v = box_laplacian_inverse(grid, averaged=True)(r)
+    g = grad_raw(grid, v, constant(0.0))
+    inner = grid.interior_mask
+    want = 2.0 * grid.cell_volume * r[inner]
+    assert np.abs(g[inner] - want).max() <= 1e-12 * np.abs(want).max()
+    form = float(np.sum(v[inner] * r[inner]))
+    assert abs(_averaged_form(v, grid) - form) <= 1e-12 * abs(form)
+
+
+def test_iteration_count_is_mesh_independent_on_the_box():
+    w = gaussian(1.0)
+    iters, gaps = [], []
+    for n in (33, 65, 129):
+        g = square(n)
+        bd = sample_boundary(g, lambda p: p[:, 0] * p[:, 1])
+        adm = AdmissibleSet.from_boundary(bd)
+        u, rep = minimize(g, w, adm)
+        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert kkt_residual(g, u, w, adm) <= rep.tol_pg
+        iters.append(rep.iterations)
+        gaps.append(float(np.abs(u.values - solve_scalar_exact(g, w, bd).values).max()))
+    assert max(iters) <= 1.3 * min(iters), iters
+    assert gaps[1] / gaps[2] >= 3.5, gaps
+
+
+def test_report_counts_energy_evaluations():
+    g = square(33)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
+    _, rep = minimize(g, gaussian(1.0), adm)
+    assert rep.line_search_failures == 0
+    assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
+
+
+def test_masked_solve_takes_no_preconditioned_step():
+    disk = DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: np.sum(x * x, axis=-1) <= 1.0)
+    g = build_grid(disk, (17, 17))
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
+    _, rep = minimize(g, gaussian(1.0), adm)
+    assert rep.converged and rep.iterations > 0 and rep.preconditioned_steps == 0
+
+
+def test_active_bound_box_solve_switches_step_kinds():
+    # preconditioned steps while no interior component sits on its bound,
+    # plain projected BB steps while one does
+    g = square(17)
+    adm = AdmissibleSet.from_boundary(sample_boundary(
+        g, lambda p: np.stack([np.cos(2 * np.pi * p[:, 0]), np.sin(2 * np.pi * p[:, 1])], axis=1)))
+    u, rep = minimize(g, gaussian(10.0), adm, opts=SolveOptions(max_iters=200))
+    assert 0 < rep.preconditioned_steps < rep.iterations
+    assert rep.active_count > 0
+    assert np.all(np.diff(rep.energy_history) <= 0.0)
+    flat = u.flat()
+    assert np.array_equal(flat[g.boundary_indices], adm.boundary.values)
+    assert np.all(np.abs(flat) <= adm.box)
