@@ -36,7 +36,8 @@ _apply_thread_env()
 import numpy as np
 
 from . import fieldio
-from .energy import el_residual, energy, energy_raw, grad_raw, sample_tensor
+from .energy import (el_residual, energy, energy_raw, grad_raw, residual_points,
+                     sample_tensor)
 from .grids import BoundaryData, build_grid, sample_boundary
 from .optim import AdmissibleSet, minimize
 from .oracle import ConvergenceError, SourceField, solve_scalar_exact, solve_scalar_source
@@ -103,6 +104,11 @@ def _run_solve(spec, paths):
     # the tensor at the cell midpoints, sampled once for the solve and the
     # energy report
     A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor, adm.ncomp)
+    if A is not None:
+        # el_residual evaluates the tensor at the nodes and face points too
+        nodes, faces = residual_points(grid)
+        for pts in (nodes, *faces.values()):
+            _from_spec("tensor evaluation", spec.tensor.eval, pts, adm.ncomp)
     U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
     ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
     res = el_residual(grid, U, spec.weight, A=spec.tensor)
@@ -185,7 +191,9 @@ def _run_sphere(spec, paths):
 
 def _run_halfspace(spec, paths):
     # solve_exhaustion checks the geometry and the box bound in the same
-    # call as its solves, so every ValueError it raises counts as a spec error
+    # call as its solves, so every ValueError it raises counts as a spec
+    # error; a non-finite energy in a solve is a FloatingPointError, which
+    # main reports as a numerical failure
     rep = _from_spec(
         "halfspace",
         solve_exhaustion,

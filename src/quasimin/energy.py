@@ -259,6 +259,22 @@ def grad_energy(grid: Grid, U: Field, w: Weight,
     return Field(grid, U.ncomp, grad_raw(grid, U.values, w, A))
 
 
+def residual_points(grid: Grid) -> tuple[np.ndarray, dict]:
+    """The points at which el_residual evaluates a coefficient tensor.
+
+    Returns the lattice nodes and, keyed by (axis, sign), the face points
+    x + sign h_axis e_axis / 2 of every node, in and out of the domain.
+    """
+    pts = grid.points()
+    faces = {}
+    for ax in range(grid.ndim):
+        for sgn in (+1, -1):
+            face = pts.copy()
+            face[..., ax] += sgn * 0.5 * grid.spacing[ax]
+            faces[ax, sgn] = face
+    return pts, faces
+
+
 def el_residual(grid: Grid, U: Field, w: Weight,
                 A: CoefficientTensor | None = None) -> Field:
     """Strong-form residual at interior nodes using central stencils.
@@ -295,7 +311,7 @@ def el_residual(grid: Grid, U: Field, w: Weight,
 
     # anisotropic residual:
     #   -e^{-f} d_i(e^f A_{ij}^{ab} d_j U^a) + (1/2) f'^b A_{ij}^{ac} d_i U^a d_j U^c
-    pts = grid.points()
+    pts, faces = residual_points(grid)
     fp = -vals * w.g_value(vals)[..., None]
     div = np.zeros_like(vals)
     in_f = grid.in_mask.astype(float)
@@ -310,9 +326,7 @@ def el_residual(grid: Grid, U: Field, w: Weight,
                     ok &= shifted(shifted(in_f, j, s2), ax, sgn) > 0.5
         for sgn in (+1, -1):
             nb = shifted(vals, ax, sgn)
-            face_pts = pts.copy()
-            face_pts[..., ax] += sgn * 0.5 * h[ax]
-            Aface = A.eval(face_pts, ncomp)
+            Aface = A.eval(faces[ax, sgn], ncomp)
             Asym = 0.5 * (
                 Aface
                 + Aface.transpose(tuple(range(Aface.ndim - 4)) + (-3, -4, -1, -2))

@@ -11,13 +11,13 @@ Convergence is declared on the sup norm of the projected gradient:
 gradient components are zeroed wherever a bound is active and the descent
 direction points out of the box.
 
-On box grids, whose interior is every non-hull lattice node,
-box_laplacian_inverse gives DST-I inverses of Dirichlet Laplacians.  There
-the harmonic-extension start is one 5-point Poisson solve, and while no
-interior component sits on its box bound the descent steps along the
-Sobolev gradient d = K^{-1} g / vol (Neuberger), where K is the
-cell-averaged Laplacian, the Hessian of the isotropic energy up to the
-factor 2 vol.  The BB1 length is taken in the same metric,
+The harmonic-extension start is one oracle.poisson_dirichlet call.  On
+box grids, whose interior is every non-hull lattice node, that solve is
+direct, and while no interior component sits on its box bound the
+descent steps along the Sobolev gradient d = K^{-1} g / vol (Neuberger),
+where K is the cell-averaged Laplacian, the Hessian of the isotropic
+energy up to the factor 2 vol, inverted by the DST-I of
+oracle.box_laplacian_inverse.  The BB1 length is taken in the same metric,
 <s, vol K s> / <s, y>: a spectral projected gradient in H^1 (Birgin,
 Martinez and Raydan 2000), whose iteration count stays flat under
 refinement.  While a bound is active, and on every masked or half-ball
@@ -32,7 +32,6 @@ how the two harmonic-map solutions are exposed).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .energy import CoefficientTensor, SampledTensor, energy_raw, grad_raw, sample_tensor
 from .grids import BoundaryData, Field, Grid
-from .oracle import _neighbor_sum, poisson_dirichlet
+from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
 
 _STEP_MIN = 1e-12
@@ -151,54 +150,6 @@ def _projected_gradient(values: np.ndarray, grad: np.ndarray,
     return pg
 
 
-def box_laplacian_inverse(grid: Grid, averaged: bool = False):
-    """DST-I inverse of a Dirichlet Laplacian on a box grid.
-
-    The default operator is the 5-point stencil -Delta_h.  averaged=True
-    gives the cell-averaged Laplacian K, whose second difference along each
-    axis is averaged with weights (1/4, 1/2, 1/4) along every other axis:
-    sum over cells of |DU|^2 vol is vol <U, K U>, so K is the Hessian of
-    the isotropic energy up to the factor 2 vol.  In one dimension the two
-    coincide.  Both are diagonal in the DST-I basis.
-
-    Returns a function taking a full-lattice array r (grid dims, then any
-    component axes) to v that solves the chosen operator's equation with r
-    on interior nodes and is 0 elsewhere; entries of r off the interior
-    are never read.  Returns None
-    unless the interior nodes are exactly the lattice's non-hull nodes.
-    """
-    inner = tuple(d - 2 for d in grid.dims)
-    if grid.num_interior != math.prod(inner):
-        return None
-    # imported here: scipy.fft costs about 80 ms at import, and only box
-    # solves need it
-    from scipy.fft import dstn, idstn
-
-    def along(v, ax):
-        return v.reshape([-1 if k == ax else 1 for k in range(grid.ndim)])
-
-    # sin^2(theta / 2) of the DST-I frequencies theta = pi j / (m + 1)
-    sin2 = [np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 for m in inner]
-    eig = np.zeros(inner)
-    for i, h in enumerate(grid.spacing):
-        term = along(4.0 * sin2[i] / h**2, i)
-        if averaged:
-            for j in range(grid.ndim):
-                if j != i:
-                    term = term * along(1.0 - sin2[j], j)
-        eig += term
-    axes = tuple(range(grid.ndim))
-    core = (slice(1, -1),) * grid.ndim
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        lam = eig.reshape(inner + (1,) * (r.ndim - grid.ndim))
-        out = np.zeros(r.shape)
-        out[core] = idstn(dstn(r[core], type=1, axes=axes) / lam, type=1, axes=axes)
-        return out
-
-    return apply
-
-
 def _averaged_form(s: np.ndarray, grid: Grid) -> float:
     """<s, K s> for the cell-averaged Laplacian K, s zero on the hull.
 
@@ -226,15 +177,7 @@ def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
         const = adm.boundary.values.mean(axis=0)
         return np.tile(const, grid.dims + (1,))
     if init == "harmonic_extension":
-        lap_inv = box_laplacian_inverse(grid)
-        if lap_inv is not None:
-            bfield = adm.boundary.scatter()
-            return lap_inv(_neighbor_sum(bfield, grid)) + bfield
-        vals = np.zeros(grid.dims + (adm.ncomp,))
-        for a in range(adm.ncomp):
-            comp = BoundaryData(grid, adm.boundary.values[:, a])
-            vals[..., a] = poisson_dirichlet(grid, None, comp).values[..., 0]
-        return vals
+        return poisson_dirichlet(grid, None, adm.boundary).values.copy()
     raise ValueError(f"unknown initialization {init!r}")
 
 
@@ -264,7 +207,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     E, _, _, grad = energy_raw(grid, U, w, A)
     evals = 1
     if not np.isfinite(E):
-        raise ValueError("initial energy is not finite")
+        raise FloatingPointError("initial energy is not finite")
     g = grad()
     pg = _projected_gradient(U, g, grid, adm)
     pgn = float(np.abs(pg).max())

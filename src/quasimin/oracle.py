@@ -8,9 +8,13 @@ linearizes the Euler-Lagrange equation: if u solves
 then Delta w = e^{f/2} (Delta u + (1/2) f'|Du|^2) = 0, so w is harmonic.
 solve_scalar_exact therefore computes the discrete harmonic extension of
 W(phi) and maps it back through the inverse transform, an exact reference
-up to the linear solver's discretization error.  A damped Picard iteration
-handles the inhomogeneous equation, whose transform reads
+up to the 5-point stencil's discretization error.  A damped Picard
+iteration handles the inhomogeneous equation, whose transform reads
 -Delta w = e^{f(u)/2} h.
+
+poisson_dirichlet is the package's one 5-point Dirichlet Poisson solve and
+also gives the descent's harmonic start: direct by DST-I on box grids
+(Buzbee, Golub and Nielson 1970), conjugate gradients elsewhere.
 
 The transform table evaluates W by per-interval Gauss-Legendre quadrature
 (machine precision for smooth f) and inverts it by bracketed, safeguarded
@@ -19,6 +23,7 @@ Newton iteration on the tabulated monotone values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,48 +175,94 @@ def _neighbor_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
-                      boundary: BoundaryData, rtol: float = 1e-12) -> Field:
-    """Solve -Delta_h v = rhs with Dirichlet data by conjugate gradients.
+def box_laplacian_inverse(grid: Grid, averaged: bool = False):
+    """DST-I inverse of a Dirichlet Laplacian on a box grid.
 
-    Standard second-order cross stencil on interior nodes; the operator is
-    symmetric positive definite, so CG failure signals an assembly bug.
+    The default operator is the 5-point stencil -Delta_h.  averaged=True
+    gives the cell-averaged Laplacian K, whose second difference along each
+    axis is averaged with weights (1/4, 1/2, 1/4) along every other axis:
+    sum over cells of |DU|^2 vol is vol <U, K U>, so K is the Hessian of
+    the isotropic energy up to the factor 2 vol.  In one dimension the two
+    coincide.  Both are diagonal in the DST-I basis.
+
+    Returns a function taking a full-lattice array r (grid dims, then any
+    component axes) to v that solves the chosen operator's equation with r
+    on interior nodes and is 0 elsewhere; entries of r off the interior
+    are never read.  Returns None
+    unless the interior nodes are exactly the lattice's non-hull nodes.
     """
-    if boundary.ncomp != 1:
-        raise ValueError("poisson_dirichlet is a scalar solver")
-    dims = grid.dims
-    imask = grid.interior_mask
+    inner = tuple(d - 2 for d in grid.dims)
+    if grid.num_interior != math.prod(inner):
+        return None
+    # imported here: scipy.fft costs about 80 ms at import, and only box
+    # solves need it
+    from scipy.fft import dstn, idstn
+
+    def along(v, ax):
+        return v.reshape([-1 if k == ax else 1 for k in range(grid.ndim)])
+
+    # sin^2(theta / 2) of the DST-I frequencies theta = pi j / (m + 1)
+    sin2 = [np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 for m in inner]
+    eig = np.zeros(inner)
+    for i, h in enumerate(grid.spacing):
+        term = along(4.0 * sin2[i] / h**2, i)
+        if averaged:
+            for j in range(grid.ndim):
+                if j != i:
+                    term = term * along(1.0 - sin2[j], j)
+        eig += term
+    axes = tuple(range(grid.ndim))
+    core = (slice(1, -1),) * grid.ndim
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        lam = eig.reshape(inner + (1,) * (r.ndim - grid.ndim))
+        out = np.zeros(r.shape)
+        out[core] = idstn(dstn(r[core], type=1, axes=axes) / lam, type=1, axes=axes)
+        return out
+
+    return apply
+
+
+def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
+                      boundary: BoundaryData) -> Field:
+    """Solve -Delta_h v = rhs with Dirichlet data, per component.
+
+    Standard second-order cross stencil on interior nodes; rhs applies to
+    every component.  Box grids solve directly by box_laplacian_inverse;
+    elsewhere the operator is symmetric positive definite, so CG failure
+    signals an assembly bug.
+    """
+    if grid.num_interior == 0:
+        raise ValueError("grid has no interior nodes")
+    bfield = boundary.scatter()
+    # move the boundary columns to the right-hand side
+    b = _neighbor_sum(bfield, grid)
+    if rhs is not None:
+        b += rhs.values[..., None]
+    lap_inv = box_laplacian_inverse(grid)
+    if lap_inv is not None:
+        return Field(grid, boundary.ncomp, lap_inv(b) + bfield)
+
     int_idx = grid.interior_indices
     n_int = int_idx.size
-    if n_int == 0:
-        raise ValueError("grid has no interior nodes")
-
     diag = 2.0 * sum(1.0 / h**2 for h in grid.spacing)
 
     def apply_homogeneous(v_int: np.ndarray) -> np.ndarray:
         full = np.zeros(grid.num_nodes)
         full[int_idx] = v_int
-        full = full.reshape(dims)
+        full = full.reshape(grid.dims)
         out = diag * full - _neighbor_sum(full, grid)
         return out.reshape(-1)[int_idx]
 
-    b = np.zeros(dims)
-    if rhs is not None:
-        b += rhs.values
-    bfield = boundary.scatter()[..., 0]
-    # move the boundary column to the right-hand side
-    b += _neighbor_sum(bfield, grid)
-    b_int = b.reshape(-1)[int_idx]
-
     op = LinearOperator((n_int, n_int), matvec=apply_homogeneous)
-    sol, info = cg(op, b_int, rtol=rtol, atol=0.0, maxiter=20 * n_int + 200)
-    if info != 0:
-        raise ConvergenceError(f"conjugate gradients failed (info={info})")
-
-    full = np.zeros(grid.num_nodes)
-    full[int_idx] = sol
-    full[grid.boundary_indices] = boundary.values[:, 0]
-    return Field(grid, 1, full.reshape(dims + (1,)))
+    flat = bfield.reshape(grid.num_nodes, boundary.ncomp)  # a view of bfield
+    for a in range(boundary.ncomp):
+        sol, info = cg(op, b[..., a].reshape(-1)[int_idx], rtol=1e-12, atol=0.0,
+                       maxiter=20 * n_int + 200)
+        if info != 0:
+            raise ConvergenceError(f"conjugate gradients failed (info={info})")
+        flat[int_idx, a] = sol
+    return Field(grid, boundary.ncomp, bfield)
 
 
 def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData,

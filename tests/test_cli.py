@@ -251,14 +251,17 @@ def _raise_convergence(*args, **kwargs):
         (SOLVE_SPEC.replace("alpha = 1.0", "alpha = 1.0\nshift = 1000"),
          "solve", None, "initial energy is not finite"),
         (ORACLE_SPEC, "oracle", _raise_convergence, "transform inversion did not converge"),
+        (HALFSPACE_SPEC.replace("alpha = 1.0", "alpha = 1.0\nshift = 1000"),
+         "halfspace", None, "initial energy is not finite"),
     ],
-    ids=["density_underflow", "infinite_energy", "convergence_error"],
+    ids=["density_underflow", "infinite_energy", "convergence_error",
+         "halfspace_infinite_energy"],
 )
 def test_numerical_failure_exits_2_with_summary(tmp_path, monkeypatch, capsys,
                                                 text, mode, patch, message):
     if patch is not None:
         monkeypatch.setattr("quasimin.cli.solve_scalar_exact", patch)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         code, out = run(tmp_path, "n.cfg", text, mode)
     assert code == 2
     summary = read_summary(out / "summary.txt")
@@ -273,12 +276,17 @@ def test_numerical_failure_exits_2_with_summary(tmp_path, monkeypatch, capsys,
         (SOLVE_SPEC.replace("resolution = 17 17", "resolution = 2 2"), "solve", "grid"),
         (SOLVE_SPEC + "\n[solver]\nbox_bound = 0.5\n", "solve", "box bound"),
         (SOLVE_SPEC + "\n[tensor]\ndiagonal = 1\n", "solve", "tensor evaluation"),
+        # finite at the cell midpoints, infinite on the nodes x1 = 0.5 where
+        # el_residual evaluates it
+        (SOLVE_SPEC + "\n[tensor]\ndiagonal = 1 ; 1 + 1/(x1 - 0.5)^2\n", "solve",
+         "tensor evaluation"),
         (HALFSPACE_SPEC.replace("window = 0 0.5 ; 0 0.5", "window = 0 2 ; 0 2"),
          "halfspace", "half-ball"),
         (SOLVE_SPEC.replace("values = x1 * x2", "values = " + " + ".join(["x1"] * 1000)),
          "solve", "bad boundary expression"),
     ],
-    ids=["grid", "box_bound", "tensor", "halfspace_window", "nested_boundary"],
+    ids=["grid", "box_bound", "tensor", "tensor_nodes", "halfspace_window",
+         "nested_boundary"],
 )
 def test_failures_from_the_spec_exit_3(tmp_path, capsys, text, mode, message):
     code, out = run(tmp_path, "s.cfg", text, mode)

@@ -20,6 +20,7 @@ from quasimin import (
     solve_scalar_exact,
     solve_scalar_source,
 )
+from quasimin.grids import BoundaryData, shifted
 
 
 def interval(n):
@@ -80,6 +81,62 @@ def test_poisson_constant_boundary_gives_constant():
     bd = sample_boundary(g, lambda p: np.full(p.shape[0], 0.8))
     sol = poisson_dirichlet(g, None, bd)
     assert np.abs(sol.values - 0.8).max() < 1e-12
+
+
+def _disk():
+    return DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: np.sum(x * x, axis=-1) <= 1.0)
+
+
+def _two_component_data(g):
+    return sample_boundary(g, lambda p: np.stack(
+        [np.sin(3 * p[:, 0]) + p[:, 1], np.cos(2 * p[:, 1]) * p[:, 0]], axis=1))
+
+
+def _random_source(g):
+    vals = np.random.default_rng(5).standard_normal(g.dims)
+    return SourceField(g, np.where(g.in_mask, vals, 0.0))
+
+
+@pytest.mark.parametrize(
+    "domain, resolution",
+    [(_disk(), (17, 17)), (DomainSpec.half_ball(1.0, 2), (17, 9)),
+     # the direct box path, unequal spacing on every axis
+     (DomainSpec.box([(0, 1), (0, 3)]), (13, 21)),
+     (DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (9, 12, 7))],
+    ids=["disk", "half_ball", "box_2d", "box_3d"],
+)
+def test_poisson_masked_solves_the_5_point_stencil(domain, resolution):
+    g = build_grid(domain, resolution)
+    bd = _two_component_data(g)
+    rhs = _random_source(g)
+    v = poisson_dirichlet(g, rhs, bd).values
+    assert np.array_equal(v.reshape(-1, 2)[g.boundary_indices], bd.values)
+    assert np.all(v[~g.in_mask] == 0.0)
+    lap = np.zeros_like(v)
+    for ax, h in enumerate(g.spacing):
+        lap += (2.0 * v - shifted(v, ax, +1) - shifted(v, ax, -1)) / h**2
+    inner = g.interior_mask
+    resid = np.abs(lap[inner] - rhs.values[inner][:, None]).max()
+    # CG stops at a 2-norm residual of 1e-12 |b|, and |b|_inf <= scale
+    scale = np.abs(rhs.values).max() + np.abs(bd.values).max() * sum(
+        2.0 / h**2 for h in g.spacing)
+    assert resid <= 1e-12 * np.sqrt(g.num_interior) * scale
+
+
+@pytest.mark.parametrize(
+    "domain, resolution",
+    [(DomainSpec.box([(0, 1), (0, 3)]), (13, 21)), (_disk(), (17, 17))],
+    ids=["box", "disk"],
+)
+def test_poisson_vector_data_solves_each_component(domain, resolution):
+    # the masked harmonic start depends on these bits
+    g = build_grid(domain, resolution)
+    bd = _two_component_data(g)
+    for rhs in (None, _random_source(g)):
+        vec = poisson_dirichlet(g, rhs, bd).values
+        for a in range(bd.ncomp):
+            comp = poisson_dirichlet(g, rhs, BoundaryData(g, bd.values[:, a])).values
+            assert np.array_equal(vec[..., a], comp[..., 0])
 
 
 def test_exact_solver_constant_weight_is_harmonic_extension():
