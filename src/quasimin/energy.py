@@ -1,13 +1,16 @@
 """Discrete weighted Dirichlet energy, its exact gradient, and residuals.
 
 The energy of a nodal field U is assembled cell by cell with midpoint
-quadrature: per lattice cell, the gradient DU is formed from first-order
-differences of the corner values, the weight e^{f} is evaluated at the cell
-average of U, and the contribution is e^{f} * Q(DU) * cell volume where Q is
-either |DU|^2 or the quadratic form of a coefficient tensor A(x) sampled at
-the cell midpoint.  The assembly is a fixed-order sum over cells, so results
-are bit-reproducible.  grad_energy returns the analytic partial derivatives
-of this discrete sum with respect to interior nodal values.
+quadrature: per lattice cell, the gradient DU is formed by the cell-averaged
+differences D_i (difference along axis i, average along the others), the
+weight e^{f} is evaluated at the cell average of U, and the contribution is
+e^{f} * Q(DU) * cell volume where Q is either |DU|^2 or the quadratic form
+of a coefficient tensor A(x) sampled at the cell midpoint.  D_i and the
+average are tensor products of 1D two-point stencils (cell_op), and the
+gradient applies their exact transposes (cell_op_adjoint).  The assembly is
+a fixed-order sum over cells, so results are bit-reproducible.  grad_energy
+returns the analytic partial derivatives of this discrete sum with respect
+to interior nodal values.
 
 el_residual is the strong-form diagnostic for the system
 
@@ -21,7 +24,6 @@ by this residual.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
@@ -102,6 +104,11 @@ class SampledTensor:
     sym_delta: float
 
 
+def _symmetrize(A: np.ndarray) -> np.ndarray:
+    """Symmetrize tensor entries (..., n, n, N, N) over (i, a) <-> (j, b)."""
+    return 0.5 * (A + A.transpose(tuple(range(A.ndim - 4)) + (-3, -4, -1, -2)))
+
+
 def sample_tensor(grid: Grid, A, ncomp: int) -> SampledTensor | None:
     """Sample A at the cell midpoints; None for the isotropic |DU|^2 path.
 
@@ -112,7 +119,7 @@ def sample_tensor(grid: Grid, A, ncomp: int) -> SampledTensor | None:
     if A.is_identity:
         return None
     Aval = A.eval(_cell_midpoints(grid), ncomp)
-    Asym = 0.5 * (Aval + Aval.transpose(tuple(range(Aval.ndim - 4)) + (-3, -4, -1, -2)))
+    Asym = _symmetrize(Aval)
     sym_delta = float(np.abs(Aval - Asym).max()) if Aval.size else 0.0
     return SampledTensor(Asym, sym_delta)
 
@@ -127,12 +134,46 @@ class EnergyValue:
     symmetrization_delta: float = 0.0
 
 
-def _corner_offsets(ndim: int):
-    return list(itertools.product((0, 1), repeat=ndim))
+def cell_op(x: np.ndarray, coefs) -> np.ndarray:
+    """Nodes -> cells: a tensor product of two-point stencils.
+
+    coefs holds one (lower, upper) weight pair per leading axis of x; the
+    pair acts between each node and its successor along that axis.  (1/2,
+    1/2) averages, (-1/h, 1/h) differences.  Trailing axes pass through.
+    """
+    for ax, (lo, hi) in enumerate(coefs):
+        head = (slice(None),) * ax
+        x = lo * x[head + (slice(None, -1),)] + hi * x[head + (slice(1, None),)]
+    return x
 
 
-def _corner_slices(offset, dims):
-    return tuple(slice(o, d - 1 + o) for o, d in zip(offset, dims))
+def cell_op_adjoint(y: np.ndarray, coefs) -> np.ndarray:
+    """Cells -> nodes: the exact transpose of cell_op."""
+    for ax in reversed(range(len(coefs))):
+        lo, hi = coefs[ax]
+        shape = list(y.shape)
+        shape[ax] += 1
+        out = np.zeros(shape)
+        head = (slice(None),) * ax
+        out[head + (slice(None, -1),)] = lo * y
+        out[head + (slice(1, None),)] += hi * y
+        y = out
+    return y
+
+
+def cell_stencils(grid: Grid):
+    """The cell average and the cell-averaged differences D_i of a grid.
+
+    Returns (mean, diffs): mean averages along every axis, and diffs[i]
+    differences along axis i and averages along the others.
+    """
+    mean = [(0.5, 0.5)] * grid.ndim
+    diffs = []
+    for i, h in enumerate(grid.spacing):
+        coefs = list(mean)
+        coefs[i] = (-1.0 / h, 1.0 / h)
+        diffs.append(coefs)
+    return mean, diffs
 
 
 def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | None):
@@ -142,28 +183,11 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | N
     form per cell, A-weighted gradient G with dQ/dDU = 2G, cell mask, cell
     average of U).
     """
-    dims = grid.dims
-    ndim = grid.ndim
-    ncomp = values.shape[-1]
-    offsets = _corner_offsets(ndim)
-    corner_vals = [values[_corner_slices(o, dims)] for o in offsets]
-
-    ubar = corner_vals[0].copy()
-    for cv in corner_vals[1:]:
-        ubar += cv
-    ubar /= len(offsets)
-
-    cell_shape = tuple(d - 1 for d in dims)
-    D = np.zeros(cell_shape + (ndim, ncomp))
-    denom = [2 ** (ndim - 1) * grid.spacing[i] for i in range(ndim)]
-    for o, cv in zip(offsets, corner_vals):
-        for i in range(ndim):
-            sgn = 1.0 if o[i] == 1 else -1.0
-            D[..., i, :] += (sgn / denom[i]) * cv
-
-    cell_in = grid.in_mask[_corner_slices(offsets[0], dims)].copy()
-    for o in offsets[1:]:
-        cell_in &= grid.in_mask[_corner_slices(o, dims)]
+    mean, diffs = cell_stencils(grid)
+    ubar = cell_op(values, mean)
+    D = np.stack([cell_op(values, d) for d in diffs], axis=-2)
+    # a cell is in the domain when all its corners are; exact in binary
+    cell_in = cell_op(grid.in_mask, mean) == 1.0
 
     wcell = np.exp(w.f_base(ubar))
 
@@ -199,24 +223,12 @@ def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
 
     def grad() -> np.ndarray:
-        dims = grid.dims
-        ndim = grid.ndim
-        offsets = _corner_offsets(ndim)
-        denom = [2 ** (ndim - 1) * grid.spacing[i] for i in range(ndim)]
-
+        mean, diffs = cell_stencils(grid)
         base = (wcell * cell_in) * grid.cell_volume
-        # d e^{f(ubar)} / dU(corner) routes through f'(ubar) / 2^n
-        fterm = base * Q / len(offsets)
-        fp = -ubar * w.g_value(ubar)[..., None]  # f'(ubar), shape cells + (N,)
-
-        out = np.zeros(dims + (values.shape[-1],))
-        for o in offsets:
-            sl = _corner_slices(o, dims) + (slice(None),)
-            contrib = fterm[..., None] * fp
-            for i in range(ndim):
-                sgn = 1.0 if o[i] == 1 else -1.0
-                contrib = contrib + (2.0 * sgn / denom[i]) * base[..., None] * G[..., i, :]
-            out[sl] += contrib
+        # e^{f(ubar)} reaches the nodes through the cell average
+        out = cell_op_adjoint((base * Q)[..., None] * w.fprime(ubar), mean)
+        for i, d in enumerate(diffs):
+            out += cell_op_adjoint(2.0 * base[..., None] * G[..., i, :], d)
         out *= np.exp(w.shift)
         out[~grid.interior_mask] = 0.0
         return out
@@ -295,6 +307,7 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     for ax in range(ndim):
         grad_c[..., ax, :] = (shifted(vals, ax, +1) - shifted(vals, ax, -1)) / (2 * h[ax])
     grad_sq = np.sum(grad_c * grad_c, axis=(-2, -1))
+    fp = w.fprime(vals)
 
     if A is None or A.is_identity:
         div = np.zeros_like(vals)
@@ -304,7 +317,6 @@ def el_residual(grid: Grid, U: Field, w: Weight,
             w_up = np.exp(w.f_base(0.5 * (vals + up)))
             w_dn = np.exp(w.f_base(0.5 * (vals + dn)))
             div += (w_up[..., None] * (up - vals) - w_dn[..., None] * (vals - dn)) / h[ax] ** 2
-        fp = -vals * w.g_value(vals)[..., None]
         res = -np.exp(-f_node)[..., None] * div + 0.5 * fp * grad_sq[..., None]
         res[~grid.interior_mask] = 0.0
         return Field(grid, ncomp, res)
@@ -312,7 +324,6 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     # anisotropic residual:
     #   -e^{-f} d_i(e^f A_{ij}^{ab} d_j U^a) + (1/2) f'^b A_{ij}^{ac} d_i U^a d_j U^c
     pts, faces = residual_points(grid)
-    fp = -vals * w.g_value(vals)[..., None]
     div = np.zeros_like(vals)
     in_f = grid.in_mask.astype(float)
     ok = grid.interior_mask.copy()
@@ -326,11 +337,7 @@ def el_residual(grid: Grid, U: Field, w: Weight,
                     ok &= shifted(shifted(in_f, j, s2), ax, sgn) > 0.5
         for sgn in (+1, -1):
             nb = shifted(vals, ax, sgn)
-            Aface = A.eval(faces[ax, sgn], ncomp)
-            Asym = 0.5 * (
-                Aface
-                + Aface.transpose(tuple(range(Aface.ndim - 4)) + (-3, -4, -1, -2))
-            )
+            Asym = _symmetrize(A.eval(faces[ax, sgn], ncomp))
             w_face = np.exp(w.f_base(0.5 * (vals + nb)))
             # face gradient: one-sided along ax, averaged central differences across
             dface = np.zeros(grid.dims + (ndim, ncomp))
@@ -338,15 +345,11 @@ def el_residual(grid: Grid, U: Field, w: Weight,
             for j in range(ndim):
                 if j == ax:
                     continue
-                cent_here = (shifted(vals, j, +1) - shifted(vals, j, -1)) / (2 * h[j])
-                cent_nb = shifted(cent_here, ax, sgn)
-                dface[..., j, :] = 0.5 * (cent_here + cent_nb)
+                cent_here = grad_c[..., j, :]
+                dface[..., j, :] = 0.5 * (cent_here + shifted(cent_here, ax, sgn))
             flux = np.einsum("...jab,...ja->...b", Asym[..., ax, :, :, :], dface)
             div += sgn * (w_face[..., None] * flux) / h[ax]
-    Anode = A.eval(pts, ncomp)
-    Anode = 0.5 * (
-        Anode + Anode.transpose(tuple(range(Anode.ndim - 4)) + (-3, -4, -1, -2))
-    )
+    Anode = _symmetrize(A.eval(pts, ncomp))
     quad = np.einsum("...ijac,...ia,...jc->...", Anode, grad_c, grad_c)
     res = -np.exp(-f_node)[..., None] * div + 0.5 * fp * quad[..., None]
     res[~ok] = 0.0

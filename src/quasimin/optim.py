@@ -18,7 +18,9 @@ descent steps along the Sobolev gradient d = K^{-1} g / vol (Neuberger),
 where K is the cell-averaged Laplacian, the Hessian of the isotropic
 energy up to the factor 2 vol, inverted by the DST-I of
 oracle.box_laplacian_inverse.  The BB1 length is taken in the same metric,
-<s, vol K s> / <s, y>: a spectral projected gradient in H^1 (Birgin,
+<s, vol K s> / <s, y>, where <s, K s> = sum_i |D_i s|^2 (_averaged_form)
+applies the energy's own cell-averaged differences D_i: a spectral
+projected gradient in H^1 (Birgin,
 Martinez and Raydan 2000), whose iteration count stays flat under
 refinement.  While a bound is active, and on every masked or half-ball
 grid, it takes plain projected BB steps along g; each step kind keeps its
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CoefficientTensor, SampledTensor, energy_raw, grad_raw, sample_tensor
+from .energy import (CoefficientTensor, SampledTensor, cell_op, cell_stencils, energy_raw,
+                     grad_raw, sample_tensor)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -151,21 +154,8 @@ def _projected_gradient(values: np.ndarray, grad: np.ndarray,
 
 
 def _averaged_form(s: np.ndarray, grid: Grid) -> float:
-    """<s, K s> for the cell-averaged Laplacian K, s zero on the hull.
-
-    This is the sum over cells of |Ds|^2: per axis, the difference along
-    it averaged over the cell's corners along the others.
-    """
-    total = 0.0
-    for ax, h in enumerate(grid.spacing):
-        diff = np.diff(s, axis=ax) / h
-        for other in range(grid.ndim):
-            if other != ax:
-                lo = (slice(None),) * other + (slice(None, -1),)
-                hi = (slice(None),) * other + (slice(1, None),)
-                diff = 0.5 * (diff[lo] + diff[hi])
-        total += float(np.sum(diff * diff))
-    return total
+    """<s, K s> = sum_i |D_i s|^2 for the cell-averaged Laplacian K, s zero on the hull."""
+    return float(sum(np.sum(cell_op(s, d) ** 2) for d in cell_stencils(grid)[1]))
 
 
 def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:

@@ -239,10 +239,9 @@ def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
     V = Field(grid, mapped_vals.shape[-1], mapped_vals)
 
     dirichlet = energy(grid, V, constant(0.0)).value
-    chart_e = energy(grid, U, w).value
     res = harmonic_residual(grid, V)
     return SphereMapResult(
-        chart=U, mapped=V, dirichlet_energy=dirichlet, chart_energy=chart_e,
+        chart=U, mapped=V, dirichlet_energy=dirichlet, chart_energy=report.final_energy,
         residual=res, pole=pole, report=report,
     )
 

@@ -90,13 +90,27 @@ def test_shift_scales_energy_and_gradient_exactly():
 
 
 @pytest.mark.parametrize(
-    "weight", [gaussian(1.0), sphere_chart(2.0), constant(0.3)], ids=lambda w: w.label
+    "make_grid, weight, A",
+    [pytest.param(lambda: square(8), w, None, id=w.label)
+     for w in (gaussian(1.0), sphere_chart(2.0), constant(0.3))]
+    + [
+        pytest.param(lambda: interval(9), gaussian(1.0), None, id="1d"),
+        pytest.param(
+            lambda: build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (5, 7, 4)),
+            sphere_chart(2.0), None, id="3d_box",
+        ),
+        pytest.param(
+            lambda: build_grid(DomainSpec.half_ball(1.0, 3), (9, 9, 5)), gaussian(0.5),
+            CoefficientTensor.diagonal([1.0, lambda p: 2.0 + p[..., 0] ** 2, 0.5]),
+            id="3d_half_ball_tensor",
+        ),
+    ],
 )
-def test_gradient_matches_finite_differences(weight):
-    g = square(8)
+def test_gradient_matches_finite_differences(make_grid, weight, A):
+    g = make_grid()
     vals = random_field(g, 2, seed=5)
-    analytic = grad_raw(g, vals, weight)
-    fd = fd_gradient(g, vals, weight)
+    analytic = grad_raw(g, vals, weight, A)
+    fd = fd_gradient(g, vals, weight, A)
     rel = np.abs(analytic - fd).max() / max(np.abs(analytic).max(), 1e-300)
     assert rel <= 1e-6
 

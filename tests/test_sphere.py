@@ -9,11 +9,13 @@ from quasimin import (
     Field,
     build_grid,
     choose_poles,
+    energy,
     harmonic_residual,
     make_pole,
     sample_boundary,
     solve_chart,
     solve_harmonic_pair,
+    sphere_chart,
     stereo_inverse,
     stereo_project,
     sup_distance,
@@ -187,6 +189,7 @@ def test_chart_energy_matches_dirichlet_energy_under_refinement():
         bd = geodesic_boundary(g)
         pole = make_pole(np.array([0.0, 0.0, 1.0]))
         res = solve_chart(g, bd, pole)
+        assert res.chart_energy == energy(g, res.chart, sphere_chart(2.0)).value
         diffs.append(abs(res.chart_energy - res.dirichlet_energy))
     assert diffs[1] < diffs[0]
 
