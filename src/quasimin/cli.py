@@ -93,6 +93,7 @@ def _solve_summary(report, extra):
         "energy_evals": report.energy_evals,
         "backtracks": report.backtracks,
         "preconditioned_steps": report.preconditioned_steps,
+        "factorizations": report.factorizations,
     }
     items.update(extra)
     return items

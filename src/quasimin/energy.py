@@ -24,10 +24,14 @@ by this residual.
 
 from __future__ import annotations
 
+import collections
+import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .grids import Field, Grid, shifted
 from .weights import Weight
@@ -176,6 +180,48 @@ def cell_stencils(grid: Grid):
     return mean, diffs
 
 
+def cell_mask(grid: Grid) -> np.ndarray:
+    """The cells whose corners all lie in the domain."""
+    # exact in binary: the average of the corner flags is 1 only when all are
+    return cell_op(grid.in_mask, cell_stencils(grid)[0]) == 1.0
+
+
+def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
+    """K_w = sum_i D_i^T diag(weights[i]) D_i on the interior nodes.
+
+    weights[i] holds one value per cell for axis i.  Rows and columns follow
+    grid.interior_indices.  The matrix is assembled from its 3^n node
+    offsets directly, without forming D_i: each pair of corners (p, q) of
+    a cell adds sum_i weights[i] D_i[p] D_i[q] to the entry of node p and
+    offset q - p.  Exact zeros are dropped.
+    """
+    _, diffs = cell_stencils(grid)
+    cells = tuple(d - 1 for d in grid.dims)
+    bands = collections.defaultdict(lambda: np.zeros(grid.dims))
+    for p in itertools.product((0, 1), repeat=grid.ndim):
+        for q in itertools.product((0, 1), repeat=grid.ndim):
+            val = sum(c * math.prod(d[k][p[k]] * d[k][q[k]] for k in range(grid.ndim))
+                      for c, d in zip(weights, diffs))
+            off = tuple(b - a for a, b in zip(p, q))
+            bands[off][tuple(slice(a, a + m) for a, m in zip(p, cells))] += val
+    index = np.full(grid.num_nodes, -1, dtype=np.int32)
+    index[grid.interior_indices] = np.arange(grid.num_interior, dtype=np.int32)
+    index = index.reshape(grid.dims)
+    rows, cols, vals = [], [], []
+    for off, band in bands.items():
+        # node p couples to p + off; both must be interior
+        src = tuple(slice(max(0, -o), d - max(0, o)) for o, d in zip(off, grid.dims))
+        dst = tuple(slice(max(0, o), d - max(0, -o)) for o, d in zip(off, grid.dims))
+        keep = (index[src] >= 0) & (index[dst] >= 0) & (band[src] != 0.0)
+        rows.append(index[src][keep])
+        cols.append(index[dst][keep])
+        vals.append(band[src][keep])
+    m = grid.num_interior
+    coo = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(m, m))
+    return coo.tocsc()
+
+
 def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | None):
     """Shared per-cell quantities for energy and gradient assembly.
 
@@ -186,8 +232,7 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | N
     mean, diffs = cell_stencils(grid)
     ubar = cell_op(values, mean)
     D = np.stack([cell_op(values, d) for d in diffs], axis=-2)
-    # a cell is in the domain when all its corners are; exact in binary
-    cell_in = cell_op(grid.in_mask, mean) == 1.0
+    cell_in = cell_mask(grid)
 
     wcell = np.exp(w.f_base(ubar))
 
@@ -254,8 +299,9 @@ def energy(grid: Grid, U: Field, w: Weight,
     value, cells, sym_delta, _ = energy_raw(grid, U.values, w, A)
     q_norms = {}
     if q_exponents:
-        _, D, _, _, cell_in, _ = _cell_kernel(grid, U.values, w, None)
+        D = np.stack([cell_op(U.values, d) for d in cell_stencils(grid)[1]], axis=-2)
         grad_sq = np.sum(D * D, axis=(-2, -1))
+        cell_in = cell_mask(grid)
         for q in q_exponents:
             q = float(q)
             q_norms[q] = float(

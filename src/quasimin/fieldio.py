@@ -15,13 +15,17 @@ import numpy as np
 from .grids import Field, Grid
 
 
+# rows rendered by one format operation in write_field
+_CHUNK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def write_field(field: Field, path) -> None:
     grid = field.grid
-    lines = [
+    header = [
         "dims: " + " ".join(str(d) for d in grid.dims),
         "spacing: " + " ".join(_fmt(h) for h in grid.spacing),
         f"components: {field.ncomp}",
@@ -29,12 +33,15 @@ def write_field(field: Field, path) -> None:
     ]
     flat = field.flat()
     cls = grid.node_class.ravel()
-    for k, idx in enumerate(np.ndindex(*grid.dims)):
-        row = " ".join(str(i) for i in idx)
-        vals = " ".join(_fmt(v) for v in flat[k])
-        lines.append(f"{row} {int(cls[k])} {vals}")
+    # one row per node: the indices and the class (exact integers in
+    # float64), then the values; "%.17g" renders like format(x, ".17g")
+    line = " ".join(["%d"] * (grid.ndim + 1) + ["%.17g"] * field.ncomp) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, grid.num_nodes, _CHUNK_ROWS):
+            k = np.arange(start, min(start + _CHUNK_ROWS, grid.num_nodes))
+            rows = np.column_stack([*np.unravel_index(k, grid.dims), cls[k], flat[k]])
+            fh.write(line * len(k) % tuple(rows.ravel().tolist()))
 
 
 def read_field(path) -> tuple[Field, Grid]:

@@ -11,21 +11,25 @@ Convergence is declared on the sup norm of the projected gradient:
 gradient components are zeroed wherever a bound is active and the descent
 direction points out of the box.
 
-The harmonic-extension start is one oracle.poisson_dirichlet call.  On
-box grids, whose interior is every non-hull lattice node, that solve is
-direct, and while no interior component sits on its box bound the
-descent steps along the Sobolev gradient d = K^{-1} g / vol (Neuberger),
-where K is the cell-averaged Laplacian, the Hessian of the isotropic
-energy up to the factor 2 vol, inverted by the DST-I of
-oracle.box_laplacian_inverse.  The BB1 length is taken in the same metric,
-<s, vol K s> / <s, y>, where <s, K s> = sum_i |D_i s|^2 (_averaged_form)
-applies the energy's own cell-averaged differences D_i: a spectral
-projected gradient in H^1 (Birgin,
-Martinez and Raydan 2000), whose iteration count stays flat under
-refinement.  While a bound is active, and on every masked or half-ball
-grid, it takes plain projected BB steps along g; each step kind keeps its
-own BB length.  A coefficient tensor is sampled at the cell midpoints once
-per solve.
+The harmonic-extension start is one oracle.poisson_dirichlet call: direct
+on box grids, whose interior is every non-hull lattice node, and
+conjugate gradients elsewhere.  While no interior component sits on its
+box bound the descent steps along d = K^{-1} g / vol, with the BB1 length
+taken in the same metric, <s, vol K s> / <s, y>: a spectral projected
+gradient in H^1 (Birgin, Martinez and Raydan 2000), whose iteration
+count stays flat under refinement.  On box grids K is the cell-averaged
+Laplacian, the Hessian of the isotropic energy up to the factor 2 vol,
+inverted by the DST-I of oracle.box_laplacian_inverse (the Sobolev
+gradient of Neuberger); <s, K s> = sum_i |D_i s|^2 (_averaged_form)
+applies the energy's own cell-averaged differences D_i.  On masked and
+half-ball grids K is the frozen-weight operator K_w = sum_i D_i^T
+diag(cell_in e^{f_base(ubar)} A_ii^{aa}) D_i of component a, the
+Kacanov (Picard) linearization of -div(e^{f(U)} grad U).  It is
+assembled sparse, factored by LU, and refactored once f_base has moved
+by more than _REFACTOR_DF at some in-domain cell since the last
+factorization.  While a bound is active the descent takes plain
+projected BB steps along g; each step kind keeps its own BB length.  A
+coefficient tensor is sampled at the cell midpoints once per solve.
 
 No claim of global minimality is made; the energy is nonconvex and
 different initializations may reach different stationary points (which is
@@ -38,9 +42,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from .energy import (CoefficientTensor, SampledTensor, cell_op, cell_stencils, energy_raw,
-                     grad_raw, sample_tensor)
+from .energy import (CoefficientTensor, SampledTensor, cell_mask, cell_op, cell_stencils,
+                     energy_raw, grad_raw, sample_tensor, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -50,6 +56,9 @@ _STEP_MAX = 1e6
 _BACKTRACK_LIMIT = 60
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+# K_w is refactored once f_base at some in-domain cell has moved this far
+# since the last factorization
+_REFACTOR_DF = 0.7
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,7 @@ class SolveReport:
     energy_evals: int = 0
     backtracks: int = 0
     preconditioned_steps: int = 0
+    factorizations: int = 0
 
     @property
     def final_energy(self) -> float:
@@ -158,6 +168,89 @@ def _averaged_form(s: np.ndarray, grid: Grid) -> float:
     return float(sum(np.sum(cell_op(s, d) ** 2) for d in cell_stencils(grid)[1]))
 
 
+class _BoxMetric:
+    """The cell-averaged Laplacian K of a box grid, inverted by DST-I."""
+
+    factorizations = 0
+
+    def __init__(self, grid: Grid, solve):
+        self.grid = grid
+        self.solve = solve
+
+    def refresh(self, values: np.ndarray) -> None:
+        pass
+
+    def form(self, s: np.ndarray) -> float:
+        return _averaged_form(s, self.grid)
+
+
+class _KacanovMetric:
+    """The frozen-weight operator K_w of a masked or half-ball grid.
+
+    For component a, K_w = sum_i D_i^T diag(cell_in e^{f_base(ubar)}
+    A_ii^{aa}) D_i on the interior nodes: up to the factor 2 vol, the
+    energy Hessian with the weight frozen at the last factorization and
+    the tensor cut to its diagonal blocks.  The sparse LU factor is only
+    a metric, so it is kept and applied in float32; energies and
+    gradients stay float64.  Components with equal cell weights share one
+    factor.
+    """
+
+    def __init__(self, grid: Grid, w: Weight, A: SampledTensor | None, ncomp: int):
+        self.grid, self.w, self.A, self.ncomp = grid, w, A, ncomp
+        self.mean = cell_stencils(grid)[0]
+        self.cell_in = cell_mask(grid)
+        self.f_ref = None
+        self.blocks = []  # (K_w, its LU factor, the components sharing it)
+        self.factorizations = 0
+
+    def refresh(self, values: np.ndarray) -> None:
+        """Refactor when the weight has moved too far since the last factorization."""
+        fb = self.w.f_base(cell_op(values, self.mean))
+        if self.f_ref is not None and not (
+                np.abs(fb - self.f_ref)[self.cell_in] > _REFACTOR_DF).any():
+            return
+        self.f_ref = fb
+        c = self.cell_in * np.exp(fb)
+        self.blocks, factored = [], []
+        for a in range(self.ncomp):
+            if self.A is None:
+                weights = [c] * self.grid.ndim
+            else:
+                weights = [c * self.A.Asym[..., i, i, a, a] for i in range(self.grid.ndim)]
+            for seen, (_, _, comps) in zip(factored, self.blocks):
+                if all(np.array_equal(x, y) for x, y in zip(seen, weights)):
+                    comps.append(a)
+                    break
+            else:
+                K = weighted_laplacian(self.grid, weights)
+                # an interior node on no weighted cell has an empty row and a
+                # zero gradient; a unit diagonal keeps K_w regular, d = 0 there
+                K = K + sparse.diags((K.diagonal() == 0.0).astype(float), format="csc")
+                lu = splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0, relax=4, panel_size=4,
+                          options={"SymmetricMode": True})
+                self.factorizations += 1
+                factored.append(weights)
+                self.blocks.append((K, lu, [a]))
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """K_w^{-1} r on the interior nodes, zero elsewhere."""
+        idx = self.grid.interior_indices
+        rhs = r.reshape(-1, self.ncomp)[idx]
+        out = np.zeros(r.shape)
+        flat = out.reshape(-1, self.ncomp)
+        for _, lu, comps in self.blocks:
+            flat[idx[:, None], comps] = lu.solve(rhs[:, comps].astype(np.float32))
+        return out
+
+    def form(self, s: np.ndarray) -> float:
+        """<s, K_w s> for s zero off the interior; 0 before the first factorization."""
+        x = s.reshape(-1, self.ncomp)[self.grid.interior_indices]
+        return float(sum(np.sum(x[:, comps] * (K @ x[:, comps]))
+                         for K, _, comps in self.blocks))
+
+
 def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
     if isinstance(init, Field):
         if init.values.shape != grid.dims + (adm.ncomp,):
@@ -191,7 +284,11 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     t0 = time.perf_counter()
     # the midpoints never move: sample and symmetrize the tensor once
     A = sample_tensor(grid, A, adm.ncomp)
-    precond = box_laplacian_inverse(grid, averaged=True)
+    box_solve = box_laplacian_inverse(grid, averaged=True)
+    if box_solve is not None:
+        metric = _BoxMetric(grid, box_solve)
+    else:
+        metric = _KacanovMetric(grid, w, A, adm.ncomp)
 
     U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
     E, _, _, grad = energy_raw(grid, U, w, A)
@@ -222,9 +319,10 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     last_progress = 0
 
     while not converged and iters < opts.max_iters:
-        pre = precond is not None and not _at_bound(U, grid, adm).any()
+        pre = not _at_bound(U, grid, adm).any()
         if pre:
-            d = precond(g) / grid.cell_volume
+            metric.refresh(U)
+            d = metric.solve(g) / grid.cell_volume
             if taus[1] is None:
                 taus[1] = scale / (1.0 + float(np.abs(d).max()))
         else:
@@ -260,9 +358,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         sy = float(np.sum(s * y))
         # BB1 length of each kind in its own metric: <s, s> for plain
         # steps, <s, vol K s> for preconditioned ones
-        norms = [float(np.sum(s * s))]
-        if precond is not None:
-            norms.append(grid.cell_volume * _averaged_form(s, grid))
+        norms = [float(np.sum(s * s)), grid.cell_volume * metric.form(s)]
         for k, ss in enumerate(norms):
             if sy > 1e-300 and ss > 0:
                 taus[k] = ss / sy
@@ -302,6 +398,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         energy_evals=evals,
         backtracks=backtracks,
         preconditioned_steps=pre_steps,
+        factorizations=metric.factorizations,
     )
     return Field(grid, adm.ncomp, U), report
 

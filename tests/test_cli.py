@@ -120,8 +120,18 @@ def test_solve_summary_counts_the_work(tmp_path):
     summary = read_summary(out / "summary.txt")
     iters = int(summary["iterations"])
     assert int(summary["energy_evals"]) == 1 + iters + int(summary["backtracks"])
-    # a box grid with no active bound takes only preconditioned steps
+    # a box grid with no active bound takes only preconditioned steps,
+    # inverting K by DST-I without a factorization
     assert int(summary["preconditioned_steps"]) == iters
+    assert int(summary["factorizations"]) == 0
+    # a masked grid factors K_w at least once
+    disk = SOLVE_SPEC.replace("kind = box", "kind = masked_box\nmask = x1^2 + x2^2 <= 1").replace(
+        "extents = 0 1 ; 0 1", "extents = -1 1 ; -1 1")
+    code, out = run(tmp_path, "d.cfg", disk, "solve", sub="disk")
+    assert code == 0
+    summary = read_summary(out / "summary.txt")
+    assert int(summary["preconditioned_steps"]) == int(summary["iterations"]) > 0
+    assert int(summary["factorizations"]) >= 1
 
 
 def test_field_round_trip_bit_exact(tmp_path):
@@ -133,6 +143,44 @@ def test_field_round_trip_bit_exact(tmp_path):
     back, grid2 = read_field(path)
     assert np.array_equal(back.values, f.values)
     assert np.array_equal(grid2.node_class, g.node_class)
+
+
+def _per_node_dump(field):
+    # the row-by-row rendering that write_field must reproduce byte for byte
+    grid = field.grid
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    lines = [
+        "dims: " + " ".join(str(d) for d in grid.dims),
+        "spacing: " + " ".join(fmt(h) for h in grid.spacing),
+        f"components: {field.ncomp}",
+        "origin: " + " ".join(fmt(o) for o in grid.origin),
+    ]
+    flat = field.flat()
+    cls = grid.node_class.ravel()
+    for k, idx in enumerate(np.ndindex(*grid.dims)):
+        lines.append(" ".join([*map(str, idx), str(int(cls[k])), *map(fmt, flat[k])]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("grid, ncomp", [
+    (build_grid(DomainSpec.box([(0, 1)]), (7,)), 1),
+    # more rows than one rendering chunk, and exterior nodes
+    (build_grid(DomainSpec.masked_box([(-1, 1), (-1, 2)],
+                                      lambda x: np.sum(x * x, axis=-1) <= 1.5), (65, 70)), 1),
+    (build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.3)]), (3, 4, 5)), 2),
+], ids=["1d", "2d", "3d"])
+def test_field_dump_bytes_match_per_node_rendering(tmp_path, grid, ncomp):
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal(grid.dims + (ncomp,))
+    flat = vals.reshape(-1)
+    flat[:5] = [-0.0, 5e-324, 1e308, -1e308, 0.1]
+    path = tmp_path / "f.field"
+    field = Field(grid, ncomp, vals)
+    write_field(field, path)
+    assert path.read_bytes() == _per_node_dump(field)
 
 
 def test_constant_field_dump_columns(tmp_path):

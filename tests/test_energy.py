@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,22 @@ def test_energy_value_equals_cell_sum_and_qnorms():
     assert ev.value == pytest.approx(ev.cell_values.sum(), rel=0, abs=0)
     for q, val in ev.q_norms.items():
         assert val == pytest.approx(1.0, rel=1e-14)  # |u'| = 1 everywhere
+
+
+def test_qnorms_take_no_second_kernel_pass(monkeypatch):
+    # the package's energy function shadows the module of the same name
+    module = importlib.import_module("quasimin.energy")
+    calls = []
+    kernel = module._cell_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, "_cell_kernel", counted)
+    g = square(8)
+    energy(g, Field(g, 2, random_field(g, 2, seed=3)), gaussian(1.0), q_exponents=(2.0, 3.0))
+    assert len(calls) == 1
 
 
 def test_shift_scales_energy_and_gradient_exactly():

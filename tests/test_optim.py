@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from quasimin import (
     AdmissibleSet,
+    CoefficientTensor,
     DomainSpec,
     Field,
     SolveOptions,
@@ -18,7 +19,7 @@ from quasimin import (
     sample_boundary,
     solve_scalar_exact,
 )
-from quasimin.energy import grad_raw
+from quasimin.energy import cell_op, cell_stencils, grad_raw, weighted_laplacian
 from quasimin.grids import shifted
 from quasimin.optim import _averaged_form, box_laplacian_inverse
 
@@ -266,12 +267,95 @@ def test_report_counts_energy_evaluations():
     assert rep.energy_evals == 1 + rep.iterations + rep.backtracks
 
 
-def test_masked_solve_takes_no_preconditioned_step():
+def _disk(n):
     disk = DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: np.sum(x * x, axis=-1) <= 1.0)
-    g = build_grid(disk, (17, 17))
-    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
-    _, rep = minimize(g, gaussian(1.0), adm)
-    assert rep.converged and rep.iterations > 0 and rep.preconditioned_steps == 0
+    return build_grid(disk, (n, n))
+
+
+def test_iteration_count_is_mesh_independent_on_the_disk():
+    w = gaussian(1.0)
+    iters = []
+    for n in (33, 65, 129):
+        g = _disk(n)
+        adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
+        u, rep = minimize(g, w, adm)
+        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert kkt_residual(g, u, w, adm) <= rep.tol_pg
+        iters.append(rep.iterations)
+    assert max(iters) <= 1.3 * min(iters), iters
+
+
+def test_strongly_weighted_disk_refactors_and_converges():
+    # e^{f} spans e^{-10}..1 over the box: a weight frozen at the start is
+    # a poor metric, so K_w is refactored as f_base moves
+    g = _disk(33)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: 4.0 * p[:, 0] * p[:, 1]))
+    u, rep = minimize(g, gaussian(10.0), adm)
+    assert rep.converged and rep.active_count == 0
+    assert rep.iterations <= 40 and rep.factorizations > 1
+    assert np.all(np.diff(rep.energy_history) <= 0.0)
+    assert kkt_residual(g, u, gaussian(10.0), adm) <= rep.tol_pg
+
+
+def test_components_share_a_factor_when_their_weights_agree():
+    g = _disk(17)
+    adm = AdmissibleSet.from_boundary(sample_boundary(
+        g, lambda p: np.stack([p[:, 0] * p[:, 1], 0.5 * p[:, 0]], axis=1)))
+    _, rep = minimize(g, gaussian(0.5), adm)
+    assert rep.converged and rep.factorizations == 1
+
+    def scaled(points, ncomp):
+        # A_ii^{aa} = 1 + a: the components need different factors
+        eye = np.einsum("ij,ab->ijab", np.eye(2), np.diag(1.0 + np.arange(ncomp)))
+        return np.broadcast_to(eye, points.shape[:-1] + eye.shape).copy()
+
+    _, rep = minimize(g, gaussian(0.5), adm, A=CoefficientTensor(func=scaled, label="scaled"))
+    assert rep.converged and rep.factorizations == 2
+
+
+def test_interior_node_on_no_domain_cell_keeps_the_factor_regular():
+    # the diamond's center is interior, but every cell around it has a
+    # corner outside the domain: its row of K_w is empty
+    dom = DomainSpec.masked_box(
+        [(-2, 6), (-4, 4)],
+        lambda x: (np.abs(x[..., 0]) + np.abs(x[..., 1]) <= 1) | (x[..., 0] >= 2))
+    g = build_grid(dom, (9, 9))
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: np.sin(p[:, 0]) * p[:, 1]))
+    u, rep = minimize(g, gaussian(0.1), adm)
+    assert rep.converged and rep.preconditioned_steps == rep.iterations > 0
+    # no cell couples the center to the energy: it keeps its start value
+    assert u.values[2, 4, 0] == 0.0
+
+
+@pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
+def test_weighted_laplacian_with_unit_weight_is_the_box_k(grid):
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(grid.dims + (1,))
+    v = box_laplacian_inverse(grid, averaged=True)(r)
+    cells = tuple(d - 1 for d in grid.dims)
+    K = weighted_laplacian(grid, [np.ones(cells)] * grid.ndim)
+    idx = grid.interior_indices
+    got = K @ v.reshape(-1)[idx]
+    want = r.reshape(-1)[idx]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("domain, dims", [
+    (DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: np.sum(x * x, axis=-1) <= 1.0), (17, 17)),
+    (DomainSpec.half_ball(1.0, 3), (9, 9, 5)),
+], ids=["disk", "half_ball_3d"])
+def test_weighted_laplacian_form_is_the_weighted_cell_sum(domain, dims):
+    g = build_grid(domain, dims)
+    rng = np.random.default_rng(6)
+    cells = tuple(d - 1 for d in g.dims)
+    weights = [rng.uniform(0.1, 2.0, cells) for _ in range(g.ndim)]
+    s = np.where(g.interior_mask, rng.standard_normal(g.dims), 0.0)
+    K = weighted_laplacian(g, weights)
+    x = s.reshape(-1)[g.interior_indices]
+    form = float(x @ (K @ x))
+    cell_sum = sum(float(np.sum(c * cell_op(s, d) ** 2))
+                   for c, d in zip(weights, cell_stencils(g)[1]))
+    assert abs(form - cell_sum) <= 1e-12 * cell_sum
 
 
 def test_active_bound_box_solve_switches_step_kinds():
