@@ -11,9 +11,9 @@ Convergence is declared on the sup norm of the projected gradient:
 gradient components are zeroed wherever a bound is active and the descent
 direction points out of the box.
 
-The harmonic-extension start is one oracle.poisson_dirichlet call: direct
+The harmonic-extension start is one oracle.poisson_dirichlet call: DST-I
 on box grids, whose interior is every non-hull lattice node, and
-conjugate gradients elsewhere.  While no interior component sits on its
+DST-I-preconditioned conjugate gradients elsewhere.  While no interior component sits on its
 box bound the descent steps along d = K^{-1} g / vol, with the BB1 length
 taken in the same metric, <s, vol K s> / <s, y>: a spectral projected
 gradient in H^1 (Birgin, Martinez and Raydan 2000), whose iteration

@@ -14,7 +14,9 @@ iteration handles the inhomogeneous equation, whose transform reads
 
 poisson_dirichlet is the package's one 5-point Dirichlet Poisson solve and
 also gives the descent's harmonic start: direct by DST-I on box grids
-(Buzbee, Golub and Nielson 1970), conjugate gradients elsewhere.
+(Buzbee, Golub and Nielson 1970), DST-I-preconditioned conjugate gradients
+elsewhere, with the bounding lattice's DST-I inverse as the preconditioner
+(Concus and Golub 1973).
 
 The transform table evaluates W by per-interval Gauss-Legendre quadrature
 (machine precision for smooth f) and inverts it by bracketed, safeguarded
@@ -39,6 +41,10 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+class TableRangeError(ValueError):
+    """An argument of the transform table lies outside its range."""
 
 
 @dataclass
@@ -114,7 +120,7 @@ class TransformTable:
         """W(u); u must lie in [-M, M]."""
         u = np.asarray(u, dtype=float)
         if u.size and (u.min() < -self.range_m or u.max() > self.range_m):
-            raise ValueError("argument leaves the transform table range")
+            raise TableRangeError("argument leaves the transform table range")
         step = self.table_u[1] - self.table_u[0]
         k = np.clip(
             np.floor((u - self.table_u[0]) / step).astype(int), 0, self.table_u.size - 2
@@ -127,7 +133,7 @@ class TransformTable:
         w = np.asarray(w, dtype=float)
         scale = 1.0 + np.abs(w)
         if w.size and (w.min() < self.w_min - 1e-12 or w.max() > self.w_max + 1e-12):
-            raise ValueError("value leaves the transform table range")
+            raise TableRangeError("value leaves the transform table range")
         wc = np.clip(w, self.w_min, self.w_max)
         k = np.clip(np.searchsorted(self.table_w, wc) - 1, 0, self.table_w.size - 2)
         lo = self.table_u[k]
@@ -175,8 +181,8 @@ def _neighbor_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def box_laplacian_inverse(grid: Grid, averaged: bool = False):
-    """DST-I inverse of a Dirichlet Laplacian on a box grid.
+def lattice_laplacian_inverse(grid: Grid, averaged: bool = False):
+    """DST-I inverse of a Dirichlet Laplacian on the lattice's non-hull nodes.
 
     The default operator is the 5-point stencil -Delta_h.  averaged=True
     gives the cell-averaged Laplacian K, whose second difference along each
@@ -187,15 +193,13 @@ def box_laplacian_inverse(grid: Grid, averaged: bool = False):
 
     Returns a function taking a full-lattice array r (grid dims, then any
     component axes) to v that solves the chosen operator's equation with r
-    on interior nodes and is 0 elsewhere; entries of r off the interior
-    are never read.  Returns None
-    unless the interior nodes are exactly the lattice's non-hull nodes.
+    on every non-hull node and is 0 on the hull; hull entries of r are
+    never read.  The domain mask plays no part: on a box grid this is the
+    grid's own Dirichlet inverse, elsewhere it is the bounding lattice's.
     """
     inner = tuple(d - 2 for d in grid.dims)
-    if grid.num_interior != math.prod(inner):
-        return None
-    # imported here: scipy.fft costs about 80 ms at import, and only box
-    # solves need it
+    # imported here: scipy.fft costs about 80 ms at import, and only
+    # Poisson solves and the box metric need it
     from scipy.fft import dstn, idstn
 
     def along(v, ax):
@@ -223,14 +227,29 @@ def box_laplacian_inverse(grid: Grid, averaged: bool = False):
     return apply
 
 
+def box_laplacian_inverse(grid: Grid, averaged: bool = False):
+    """lattice_laplacian_inverse on box grids, None elsewhere.
+
+    A box grid is one whose interior nodes are exactly the lattice's
+    non-hull nodes, so the lattice inverse is its own Dirichlet inverse.
+    """
+    if grid.num_interior != math.prod(d - 2 for d in grid.dims):
+        return None
+    return lattice_laplacian_inverse(grid, averaged)
+
+
 def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
                       boundary: BoundaryData) -> Field:
     """Solve -Delta_h v = rhs with Dirichlet data, per component.
 
     Standard second-order cross stencil on interior nodes; rhs applies to
-    every component.  Box grids solve directly by box_laplacian_inverse;
-    elsewhere the operator is symmetric positive definite, so CG failure
-    signals an assembly bug.
+    every component.  Box grids solve directly by box_laplacian_inverse.
+    Elsewhere CG runs on the interior nodes, preconditioned by
+    M = R L^{-1} R^T: R^T scatters a residual onto the bounding lattice
+    (zero off the interior), L^{-1} is lattice_laplacian_inverse, and R
+    gathers the interior back (Concus and Golub 1973); an interior node
+    with no interior neighbour is its own block of M.  The operator and M
+    are symmetric positive definite, so CG failure signals an assembly bug.
     """
     if grid.num_interior == 0:
         raise ValueError("grid has no interior nodes")
@@ -254,11 +273,29 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
         out = diag * full - _neighbor_sum(full, grid)
         return out.reshape(-1)[int_idx]
 
+    lattice_inv = lattice_laplacian_inverse(grid)
+    # an interior node with no interior neighbour is a 1x1 block of the
+    # operator: M inverts it exactly and keeps it out of the lattice solve,
+    # so a zero source there stays exactly zero, as the operator's own
+    # Krylov space keeps it
+    linked = np.zeros_like(grid.interior_mask)
+    for ax in range(grid.ndim):
+        linked |= shifted(grid.interior_mask, ax, +1) | shifted(grid.interior_mask, ax, -1)
+    lone = ~linked.reshape(-1)[int_idx]
+
+    def apply_preconditioner(r_int: np.ndarray) -> np.ndarray:
+        full = np.zeros(grid.num_nodes)
+        full[int_idx] = np.where(lone, 0.0, r_int)
+        out = lattice_inv(full.reshape(grid.dims)).reshape(-1)[int_idx]
+        out[lone] = r_int[lone] / diag
+        return out
+
     op = LinearOperator((n_int, n_int), matvec=apply_homogeneous)
+    precond = LinearOperator((n_int, n_int), matvec=apply_preconditioner)
     flat = bfield.reshape(grid.num_nodes, boundary.ncomp)  # a view of bfield
     for a in range(boundary.ncomp):
         sol, info = cg(op, b[..., a].reshape(-1)[int_idx], rtol=1e-12, atol=0.0,
-                       maxiter=20 * n_int + 200)
+                       maxiter=20 * n_int + 200, M=precond)
         if info != 0:
             raise ConvergenceError(f"conjugate gradients failed (info={info})")
         flat[int_idx, a] = sol
@@ -271,7 +308,7 @@ def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData,
 
     Computes the discrete harmonic extension of W(phi) and maps it back
     nodewise through the inverse transform.  If the table range is exceeded
-    it is enlarged once before failing.
+    it is doubled once before failing; any other error raises at once.
     """
     if range_m is None:
         range_m = default_table_range(boundary)
@@ -282,7 +319,7 @@ def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData,
             wfield = poisson_dirichlet(grid, None, wb)
             u = table.inverse(wfield.values[..., 0])
             break
-        except ValueError:
+        except TableRangeError:
             if attempt == 1:
                 raise
             table = TransformTable(f, 2.0 * range_m)

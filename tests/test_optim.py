@@ -22,6 +22,7 @@ from quasimin import (
 from quasimin.energy import cell_op, cell_stencils, grad_raw, weighted_laplacian
 from quasimin.grids import shifted
 from quasimin.optim import _averaged_form, box_laplacian_inverse
+from quasimin.oracle import lattice_laplacian_inverse
 
 
 def square(n):
@@ -213,6 +214,14 @@ def test_box_laplacian_inverse_is_none_off_the_box():
         g = build_grid(domain, (17, 17))
         assert box_laplacian_inverse(g) is None
         assert box_laplacian_inverse(g, averaged=True) is None
+
+
+@pytest.mark.parametrize("averaged", [False, True], ids=["5_point", "averaged"])
+@pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
+def test_lattice_inverse_is_the_box_inverse_on_boxes(grid, averaged):
+    r = np.random.default_rng(6).standard_normal(grid.dims + (2,))
+    want = box_laplacian_inverse(grid, averaged=averaged)(r)
+    assert np.array_equal(lattice_laplacian_inverse(grid, averaged=averaged)(r), want)
 
 
 @pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])

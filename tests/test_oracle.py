@@ -20,6 +20,7 @@ from quasimin import (
     solve_scalar_exact,
     solve_scalar_source,
 )
+from quasimin import oracle
 from quasimin.grids import BoundaryData, shifted
 
 
@@ -83,8 +84,12 @@ def test_poisson_constant_boundary_gives_constant():
     assert np.abs(sol.values - 0.8).max() < 1e-12
 
 
+def _unit_ball(ndim):
+    return DomainSpec.masked_box([(-1, 1)] * ndim, lambda x: np.sum(x * x, axis=-1) <= 1.0)
+
+
 def _disk():
-    return DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: np.sum(x * x, axis=-1) <= 1.0)
+    return _unit_ball(2)
 
 
 def _two_component_data(g):
@@ -102,8 +107,9 @@ def _random_source(g):
     [(_disk(), (17, 17)), (DomainSpec.half_ball(1.0, 2), (17, 9)),
      # the direct box path, unequal spacing on every axis
      (DomainSpec.box([(0, 1), (0, 3)]), (13, 21)),
-     (DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (9, 12, 7))],
-    ids=["disk", "half_ball", "box_2d", "box_3d"],
+     (DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (9, 12, 7)),
+     (_unit_ball(3), (11, 11, 11)), (DomainSpec.half_ball(1.0, 3), (11, 13, 7))],
+    ids=["disk", "half_ball", "box_2d", "box_3d", "ball_3d", "half_ball_3d"],
 )
 def test_poisson_masked_solves_the_5_point_stencil(domain, resolution):
     g = build_grid(domain, resolution)
@@ -125,8 +131,9 @@ def test_poisson_masked_solves_the_5_point_stencil(domain, resolution):
 
 @pytest.mark.parametrize(
     "domain, resolution",
-    [(DomainSpec.box([(0, 1), (0, 3)]), (13, 21)), (_disk(), (17, 17))],
-    ids=["box", "disk"],
+    [(DomainSpec.box([(0, 1), (0, 3)]), (13, 21)), (_disk(), (17, 17)),
+     (DomainSpec.half_ball(1.0, 3), (11, 13, 7))],
+    ids=["box", "disk", "half_ball_3d"],
 )
 def test_poisson_vector_data_solves_each_component(domain, resolution):
     # the masked harmonic start depends on these bits
@@ -137,6 +144,42 @@ def test_poisson_vector_data_solves_each_component(domain, resolution):
         for a in range(bd.ncomp):
             comp = poisson_dirichlet(g, rhs, BoundaryData(g, bd.values[:, a])).values
             assert np.array_equal(vec[..., a], comp[..., 0])
+
+
+def test_masked_poisson_matvecs_are_mesh_independent(monkeypatch):
+    # the lattice DST-I preconditioner keeps the CG count flat; plain CG
+    # needs about 2n matrix-vector products per component on the n x n disk
+    calls = []
+    neighbor_sum = oracle._neighbor_sum
+
+    def counting(values, grid):
+        calls.append(1)
+        return neighbor_sum(values, grid)
+
+    monkeypatch.setattr(oracle, "_neighbor_sum", counting)
+    for n in (33, 65, 129):
+        g = build_grid(_disk(), (n, n))
+        bd = _two_component_data(g)
+        calls.clear()
+        poisson_dirichlet(g, None, bd)
+        # one call builds the right-hand side, the rest are CG matvecs
+        assert (len(calls) - 1) / bd.ncomp <= 40
+
+
+def test_exact_solver_builds_one_table_for_vector_data(monkeypatch):
+    built = []
+    table_class = oracle.TransformTable
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return table_class(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "TransformTable", counting)
+    g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (9, 9))
+    bd = _two_component_data(g)
+    with pytest.raises(ValueError, match="scalar data only"):
+        solve_scalar_exact(g, gaussian(1.0), bd)
+    assert len(built) == 1
 
 
 def test_exact_solver_constant_weight_is_harmonic_extension():
