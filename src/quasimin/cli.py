@@ -6,7 +6,9 @@ Modes map one-to-one onto spec-file modes (solve, oracle, sphere,
 halfspace, gradcheck).  Every run writes a machine-readable summary, even
 on solver non-convergence; field dumps and summaries are byte-identical
 across reruns of the same spec.  Wall-clock timings go to a separate
-timing file so the compared artifacts stay deterministic.
+timing file so the compared artifacts stay deterministic: `wall_time_s`
+for the run and `write_s` for its artifact writes (field dumps,
+histories, summaries).
 
 Exit codes: 0 converged, 2 not converged or a numerical failure (the
 summary then carries `error`), 3 spec error, 4 I/O failure.  A failure
@@ -46,6 +48,19 @@ from .specfile import SpecError, parse_problem
 from .sphere import solve_harmonic_pair, sup_distance
 
 _Q_EXPONENTS = (2.0, 2.5, 3.0)
+
+
+class _Stopwatch:
+    """Accumulated wall time of the `with` blocks it times."""
+
+    def __init__(self):
+        self.seconds = 0.0
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.seconds += time.perf_counter() - self._start
 
 
 class _RunError(Exception):
@@ -99,7 +114,7 @@ def _solve_summary(report, extra):
     return items
 
 
-def _run_solve(spec, paths):
+def _run_solve(spec, paths, writes):
     grid, bdry = _grid_and_boundary(spec)
     adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
     # the tensor at the cell midpoints, sampled once for the solve and the
@@ -121,13 +136,14 @@ def _run_solve(spec, paths):
     }
     for q in _Q_EXPONENTS:
         extra[f"qnorm_{q:g}"] = ev.q_norms[q]
-    fieldio.write_field(U, paths["field"])
-    fieldio.write_history(report.energy_history, report.pg_history, paths["history"])
-    fieldio.write_summary(_solve_summary(report, extra), paths["summary"])
+    with writes:
+        fieldio.write_field(U, paths["field"])
+        fieldio.write_history(report.energy_history, report.pg_history, paths["history"])
+        fieldio.write_summary(_solve_summary(report, extra), paths["summary"])
     return 0 if report.converged else 2
 
 
-def _run_oracle(spec, paths):
+def _run_oracle(spec, paths, writes):
     grid, bdry = _grid_and_boundary(spec)
     if spec.source is not None:
         src = _from_spec("source evaluation", _source_field, grid, spec.source)
@@ -147,12 +163,13 @@ def _run_oracle(spec, paths):
     }
     for q in _Q_EXPONENTS:
         items[f"qnorm_{q:g}"] = ev.q_norms[q]
-    fieldio.write_field(U, paths["field"])
-    fieldio.write_summary(items, paths["summary"])
+    with writes:
+        fieldio.write_field(U, paths["field"])
+        fieldio.write_summary(items, paths["summary"])
     return 0
 
 
-def _run_sphere(spec, paths):
+def _run_sphere(spec, paths, writes):
     grid, bdry = _grid_and_boundary(spec)
     norms = np.linalg.norm(bdry.values, axis=-1)
     if norms.min() < 1e-8:
@@ -160,18 +177,6 @@ def _run_sphere(spec, paths):
     bdry = BoundaryData(grid, bdry.values / norms[:, None])
     r1, r2 = solve_harmonic_pair(grid, bdry, opts=spec.solver,
                                  candidates=spec.sphere_candidates)
-    base, ext = os.path.splitext(paths["field"])
-    field_a = f"{base}_a{ext}"
-    field_b = f"{base}_b{ext}"
-    fieldio.write_field(r1.mapped, field_a)
-    fieldio.write_field(r2.mapped, field_b)
-    hist_base, hist_ext = os.path.splitext(paths["history"])
-    fieldio.write_history(
-        r1.report.energy_history, r1.report.pg_history, f"{hist_base}_a{hist_ext}"
-    )
-    fieldio.write_history(
-        r2.report.energy_history, r2.report.pg_history, f"{hist_base}_b{hist_ext}"
-    )
     items = {
         "mode": "sphere",
         "converged": r1.report.converged and r2.report.converged,
@@ -186,11 +191,18 @@ def _run_sphere(spec, paths):
         "iterations_b": r2.report.iterations,
         "pole": " ".join(fieldio._fmt(c) for c in r1.pole.pole),
     }
-    fieldio.write_summary(items, paths["summary"])
+    base, ext = os.path.splitext(paths["field"])
+    hist_base, hist_ext = os.path.splitext(paths["history"])
+    with writes:
+        for r, tag in ((r1, "a"), (r2, "b")):
+            fieldio.write_field(r.mapped, f"{base}_{tag}{ext}")
+            fieldio.write_history(r.report.energy_history, r.report.pg_history,
+                                  f"{hist_base}_{tag}{hist_ext}")
+        fieldio.write_summary(items, paths["summary"])
     return 0 if items["converged"] else 2
 
 
-def _run_halfspace(spec, paths):
+def _run_halfspace(spec, paths, writes):
     # solve_exhaustion checks the geometry and the box bound in the same
     # call as its solves, so every ValueError it raises counts as a spec
     # error; a non-finite energy in a solve is a FloatingPointError, which
@@ -221,14 +233,15 @@ def _run_halfspace(spec, paths):
         items[f"iterations_{k}"] = rep.reports[k].iterations
     for k, d in enumerate(rep.window_diffs, start=1):
         items[f"window_diff_{k}"] = d
-    fieldio.write_field(rep.window_fields[-1], paths["field"])
     last = rep.reports[-1]
-    fieldio.write_history(last.energy_history, last.pg_history, paths["history"])
-    fieldio.write_summary(items, paths["summary"])
+    with writes:
+        fieldio.write_field(rep.window_fields[-1], paths["field"])
+        fieldio.write_history(last.energy_history, last.pg_history, paths["history"])
+        fieldio.write_summary(items, paths["summary"])
     return 0 if rep.converged_all else 2
 
 
-def _run_gradcheck(spec, paths, seed):
+def _run_gradcheck(spec, paths, seed, writes):
     grid = _from_spec("grid", build_grid, spec.domain, spec.resolution)
     ncomp = spec.gradcheck_components
     w = spec.weight
@@ -255,11 +268,12 @@ def _run_gradcheck(spec, paths, seed):
     rel = float(np.abs(analytic - fd).max()) / denom
     print(f"gradcheck max relative error: {rel:.6e}")
     ok = rel <= 1e-6
-    fieldio.write_summary(
-        {"mode": "gradcheck", "converged": ok, "max_rel_error": rel,
-         "fd_step": step, "seed": seed, "components": ncomp},
-        paths["summary"],
-    )
+    with writes:
+        fieldio.write_summary(
+            {"mode": "gradcheck", "converged": ok, "max_rel_error": rel,
+             "fd_step": step, "seed": seed, "components": ncomp},
+            paths["summary"],
+        )
     return 0 if ok else 2
 
 
@@ -306,18 +320,19 @@ def main(argv=None) -> int:
     paths = _summary_paths(spec, args.out_dir)
 
     t0 = time.perf_counter()
+    writes = _Stopwatch()
     failure = None
     try:
         if spec.mode == "solve":
-            code = _run_solve(spec, paths)
+            code = _run_solve(spec, paths, writes)
         elif spec.mode == "oracle":
-            code = _run_oracle(spec, paths)
+            code = _run_oracle(spec, paths, writes)
         elif spec.mode == "sphere":
-            code = _run_sphere(spec, paths)
+            code = _run_sphere(spec, paths, writes)
         elif spec.mode == "halfspace":
-            code = _run_halfspace(spec, paths)
+            code = _run_halfspace(spec, paths, writes)
         else:
-            code = _run_gradcheck(spec, paths, args.seed)
+            code = _run_gradcheck(spec, paths, args.seed, writes)
     except _RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -331,9 +346,11 @@ def main(argv=None) -> int:
 
     try:
         if failure is not None:
-            fieldio.write_summary(failure, paths["summary"])
+            with writes:
+                fieldio.write_summary(failure, paths["summary"])
         with open(paths["timing"], "w") as fh:
-            fh.write(f"wall_time_s = {time.perf_counter() - t0:.6f}\n")
+            fh.write(f"wall_time_s = {time.perf_counter() - t0:.6f}\n"
+                     f"write_s = {writes.seconds:.6f}\n")
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4

@@ -3,20 +3,26 @@
 Field format: header lines (dims, spacing, components, origin), then one
 node per line in row-major order: node indices, node class, and the N
 values printed with 17 significant digits, which round-trips float64
-bit-exactly.  Summaries are flat `key = value` listings with a stable key
+bit-exactly.  The writer renders each row exactly as `format(x, ".17g")`
+per value would.  The reader parses the body in one numpy call and is
+strict: a malformed dump raises ValueError naming the header key, the
+row or the expected row width.  Summaries are flat `key = value` listings with a stable key
 order; convergence histories are separate comma-separated files with one
 line per recorded iterate.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import BOUNDARY, EXTERIOR, INTERIOR, Field, Grid
 
 
 # rows rendered by one format operation in write_field
 _CHUNK_ROWS = 4096
+_CLASSES = (INTERIOR, BOUNDARY, EXTERIOR)
 
 
 def _fmt(x: float) -> str:
@@ -33,38 +39,75 @@ def write_field(field: Field, path) -> None:
     ]
     flat = field.flat()
     cls = grid.node_class.ravel()
-    # one row per node: the indices and the class (exact integers in
-    # float64), then the values; "%.17g" renders like format(x, ".17g")
-    line = " ".join(["%d"] * (grid.ndim + 1) + ["%.17g"] * field.ncomp) + "\n"
+    n, width = grid.ndim, grid.ndim + 1 + field.ncomp
+    # one row per node: the indices and the class as Python ints, then the
+    # values as floats; "%.17g" renders like format(x, ".17g")
+    line = " ".join(["%d"] * (n + 1) + ["%.17g"] * field.ncomp) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
         for start in range(0, grid.num_nodes, _CHUNK_ROWS):
             k = np.arange(start, min(start + _CHUNK_ROWS, grid.num_nodes))
-            rows = np.column_stack([*np.unravel_index(k, grid.dims), cls[k], flat[k]])
-            fh.write(line * len(k) % tuple(rows.ravel().tolist()))
+            columns = [*np.unravel_index(k, grid.dims), cls[k], *flat[k].T]
+            items = [None] * (len(k) * width)
+            for c, col in enumerate(columns):
+                items[c::width] = col.tolist()
+            fh.write(line * len(k) % tuple(items))
+
+
+def _header(fh, key: str) -> list[str]:
+    line = fh.readline()
+    name, colon, rest = line.partition(":")
+    if name != key or not colon:
+        raise ValueError(f"field dump header: expected '{key}:', got {line.strip()!r}")
+    return rest.split()
 
 
 def read_field(path) -> tuple[Field, Grid]:
-    """Read a dump written by write_field; values round-trip bit-exactly."""
+    """Read a dump written by write_field; values round-trip bit-exactly.
+
+    Raises ValueError on a malformed dump: a bad header, a row of the
+    wrong width or with an unparsable token, too few rows, or node
+    indices and classes that are not the row-major scan of the header's
+    grid.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    dims = tuple(int(t) for t in lines[0].split(":")[1].split())
-    spacing = tuple(float(t) for t in lines[1].split(":")[1].split())
-    ncomp = int(lines[2].split(":")[1])
-    origin = tuple(float(t) for t in lines[3].split(":")[1].split())
-    n = len(dims)
-    count = int(np.prod(dims))
-    body = lines[4 : 4 + count]
-    if len(body) != count:
-        raise ValueError(f"field dump has {len(body)} rows, expected {count}")
-    cls = np.empty(count, dtype=np.int8)
-    vals = np.empty((count, ncomp))
-    for k, ln in enumerate(body):
-        toks = ln.split()
-        cls[k] = int(toks[n])
-        vals[k] = [float(t) for t in toks[n + 1 : n + 1 + ncomp]]
-    grid = Grid(dims, spacing, origin, cls.reshape(dims))
-    return Field(grid, ncomp, vals.reshape(dims + (ncomp,))), grid
+        dims = tuple(int(t) for t in _header(fh, "dims"))
+        spacing = tuple(float(t) for t in _header(fh, "spacing"))
+        (ncomp,) = (int(t) for t in _header(fh, "components"))
+        origin = tuple(float(t) for t in _header(fh, "origin"))
+        n = len(dims)
+        if len(spacing) != n or len(origin) != n:
+            raise ValueError(f"field dump header: {n} dims but {len(spacing)} "
+                             f"spacings and {len(origin)} origin coordinates")
+        count = int(np.prod(dims))
+        width = n + 1 + ncomp
+        try:
+            with warnings.catch_warnings():
+                # loadtxt only warns on an empty body or a blank line
+                warnings.simplefilter("error", UserWarning)
+                body = np.loadtxt(fh, dtype=float, comments=None, ndmin=2,
+                                  max_rows=count)
+        except UserWarning:
+            raise ValueError(f"field dump body has a blank line or no rows, "
+                             f"expected {count} rows") from None
+        except ValueError as exc:
+            raise ValueError(f"field dump body, expected {width} columns "
+                             f"per row: {exc}") from None
+    if body.shape[0] != count:
+        raise ValueError(f"field dump has {body.shape[0]} rows, expected {count}")
+    if body.shape[1] != width:
+        raise ValueError(f"field dump rows have {body.shape[1]} columns, expected "
+                         f"{width} ({n} indices, the class, {ncomp} values)")
+    scan = np.indices(dims).reshape(n, count).T
+    ok = (body[:, :n] == scan).all(axis=1) & np.isin(body[:, n], _CLASSES)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"field dump row {k + 1}: indices and class "
+                         f"{body[k, : n + 1].tolist()}, expected node {scan[k].tolist()} "
+                         f"and a class in {_CLASSES}")
+    grid = Grid(dims, spacing, origin, body[:, n].astype(np.int8).reshape(dims))
+    values = np.ascontiguousarray(body[:, n + 1 :]).reshape(dims + (ncomp,))
+    return Field(grid, ncomp, values), grid
 
 
 def _render(value) -> str:

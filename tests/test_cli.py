@@ -112,6 +112,9 @@ def test_solve_run_and_outputs(tmp_path):
     # header dims product equals row count
     lines = (out / "solution.field").read_text().splitlines()
     assert len(lines) - 4 == 17 * 17
+    timing = read_summary(out / "timing.txt")
+    assert set(timing) == {"wall_time_s", "write_s"}
+    assert 0.0 <= float(timing["write_s"]) <= float(timing["wall_time_s"])
 
 
 def test_solve_summary_counts_the_work(tmp_path):
@@ -165,22 +168,83 @@ def _per_node_dump(field):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("grid, ncomp", [
+_DUMP_GRIDS = pytest.mark.parametrize("grid, ncomp", [
     (build_grid(DomainSpec.box([(0, 1)]), (7,)), 1),
     # more rows than one rendering chunk, and exterior nodes
     (build_grid(DomainSpec.masked_box([(-1, 1), (-1, 2)],
                                       lambda x: np.sum(x * x, axis=-1) <= 1.5), (65, 70)), 1),
     (build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.3)]), (3, 4, 5)), 2),
 ], ids=["1d", "2d", "3d"])
-def test_field_dump_bytes_match_per_node_rendering(tmp_path, grid, ncomp):
+
+
+def _special_values(grid, ncomp):
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(grid.dims + (ncomp,))
-    flat = vals.reshape(-1)
-    flat[:5] = [-0.0, 5e-324, 1e308, -1e308, 0.1]
+    vals.reshape(-1)[:5] = [-0.0, 5e-324, 1e308, -1e308, 0.1]
+    return vals
+
+
+@_DUMP_GRIDS
+def test_field_dump_bytes_match_per_node_rendering(tmp_path, grid, ncomp):
     path = tmp_path / "f.field"
-    field = Field(grid, ncomp, vals)
+    field = Field(grid, ncomp, _special_values(grid, ncomp))
     write_field(field, path)
     assert path.read_bytes() == _per_node_dump(field)
+
+
+@_DUMP_GRIDS
+def test_read_field_round_trips_bits(tmp_path, grid, ncomp):
+    vals = _special_values(grid, ncomp)
+    exterior = np.flatnonzero(~grid.in_mask.ravel())
+    vals.reshape(-1, ncomp)[exterior[:3]] = np.array([np.inf, -np.inf, np.nan])[:len(exterior), None]
+    path = tmp_path / "f.field"
+    write_field(Field(grid, ncomp, vals), path)
+    back, grid2 = read_field(path)
+    assert back.ncomp == ncomp
+    assert np.array_equal(back.values.view(np.int64), vals.view(np.int64))
+    assert np.array_equal(grid2.node_class, grid.node_class)
+    assert (grid2.dims, grid2.spacing, grid2.origin) == (grid.dims, grid.spacing, grid.origin)
+
+
+def _malformed(lines):
+    # a valid 3x4 dump with two components, then one defect per case
+    header, rows = lines[:4], lines[4:]
+    return {
+        "short_row": header + rows[:2] + [rows[2].rsplit(" ", 1)[0]] + rows[3:],
+        "missing_values": header + [" ".join(r.split()[:3]) for r in rows],
+        "extra_column": header + rows[:1] + [rows[1] + " 0"] + rows[2:],
+        "bad_token": header + rows[:5] + [rows[5].rsplit(" ", 1)[0] + " abc"] + rows[6:],
+        "wrong_components": [*header[:2], "components: 3", header[3]] + rows,
+        "truncated": header + rows[:-2],
+        "header_only": header,
+        "bad_header": [header[0], "spacings: 0.5 0.25", *header[2:]] + rows,
+        "swapped_rows": header + [rows[1], rows[0]] + rows[2:],
+        "bad_class": header + rows[:3] + ["0 3 7" + rows[3][5:]] + rows[4:],
+    }
+
+
+_MALFORMED_MESSAGES = {
+    "short_row": "expected 5 columns per row.*at row 3",
+    "missing_values": "3 columns, expected 5",
+    "extra_column": "expected 5 columns per row.*at row 2",
+    "bad_token": "expected 5 columns per row.*'abc'.*row 5",
+    "wrong_components": "5 columns, expected 6",
+    "truncated": "10 rows, expected 12",
+    "header_only": "no rows, expected 12",
+    "bad_header": "expected 'spacing:'",
+    "swapped_rows": "row 1: indices and class",
+    "bad_class": "row 4: indices and class",
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_MESSAGES)
+def test_read_field_rejects_malformed_dumps(tmp_path, case):
+    grid = build_grid(DomainSpec.box([(0, 1), (0, 0.75)]), (3, 4))
+    path = tmp_path / "f.field"
+    write_field(Field(grid, 2, np.arange(24.0).reshape(3, 4, 2)), path)
+    path.write_text("\n".join(_malformed(path.read_text().splitlines())[case]) + "\n")
+    with pytest.raises(ValueError, match=_MALFORMED_MESSAGES[case]):
+        read_field(path)
 
 
 def test_constant_field_dump_columns(tmp_path):
