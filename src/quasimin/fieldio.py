@@ -6,7 +6,7 @@ values printed with 17 significant digits, which round-trips float64
 bit-exactly.  The writer renders each row exactly as `format(x, ".17g")`
 per value would.  The reader parses the body in one numpy call and is
 strict: a malformed dump raises ValueError naming the header key, the
-row or the expected row width.  Summaries are flat `key = value` listings with a stable key
+file line or the expected row width.  Summaries are flat `key = value` listings with a stable key
 order; convergence histories are separate comma-separated files with one
 line per recorded iterate.
 """
@@ -22,6 +22,8 @@ from .grids import BOUNDARY, EXTERIOR, INTERIOR, Field, Grid
 
 # rows rendered by one format operation in write_field
 _CHUNK_ROWS = 4096
+# dims, spacing, components, origin
+_HEADER_LINES = 4
 _CLASSES = (INTERIOR, BOUNDARY, EXTERIOR)
 
 
@@ -62,6 +64,23 @@ def _header(fh, key: str) -> list[str]:
     return rest.split()
 
 
+def _unparsed_line(path, width: int) -> str:
+    """Name the first body line, by its file line number, that is not `width` numbers."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if number <= _HEADER_LINES:
+                continue
+            tokens = line.split()
+            if len(tokens) != width:
+                return f"field dump line {number}: {len(tokens)} columns, expected {width}"
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    return f"field dump line {number}: {token!r} is not a number"
+    return ""
+
+
 def read_field(path) -> tuple[Field, Grid]:
     """Read a dump written by write_field; values round-trip bit-exactly.
 
@@ -91,8 +110,11 @@ def read_field(path) -> tuple[Field, Grid]:
             raise ValueError(f"field dump body has a blank line or no rows, "
                              f"expected {count} rows") from None
         except ValueError as exc:
-            raise ValueError(f"field dump body, expected {width} columns "
-                             f"per row: {exc}") from None
+            # loadtxt counts rows inconsistently and never counts the header,
+            # so find the line again; only a token that float() reads and
+            # loadtxt does not, such as 1_0, keeps loadtxt's message
+            raise ValueError(_unparsed_line(path, width) or f"field dump body, expected "
+                             f"{width} columns per row: {exc}") from None
     if body.shape[0] != count:
         raise ValueError(f"field dump has {body.shape[0]} rows, expected {count}")
     if body.shape[1] != width:

@@ -13,21 +13,21 @@ direction points out of the box.
 
 The harmonic-extension start is one oracle.poisson_dirichlet call: DST-I
 on box grids, whose interior is every non-hull lattice node, and
-DST-I-preconditioned conjugate gradients elsewhere.  While no interior component sits on its
-box bound the descent steps along d = K^{-1} g / vol, with the BB1 length
-taken in the same metric, <s, vol K s> / <s, y>: a spectral projected
-gradient in H^1 (Birgin, Martinez and Raydan 2000), whose iteration
-count stays flat under refinement.  On box grids K is the cell-averaged
-Laplacian, the Hessian of the isotropic energy up to the factor 2 vol,
-inverted by the DST-I of oracle.box_laplacian_inverse (the Sobolev
-gradient of Neuberger); <s, K s> = sum_i |D_i s|^2 (_averaged_form)
-applies the energy's own cell-averaged differences D_i.  On masked and
-half-ball grids K is the frozen-weight operator K_w = sum_i D_i^T
-diag(cell_in e^{f_base(ubar)} A_ii^{aa}) D_i of component a, the
-Kacanov (Picard) linearization of -div(e^{f(U)} grad U).  It is
-assembled sparse, factored by LU, and refactored once f_base has moved
-by more than _REFACTOR_DF at some in-domain cell since the last
-factorization.  While a bound is active the descent takes plain
+DST-I-preconditioned conjugate gradients elsewhere.  While no interior
+component sits on its box bound the descent steps along d = K_w^{-1} g /
+vol, with the BB1 length taken in the same metric, <s, vol K_w s> /
+<s, y>: a spectral projected gradient in H^1 (Birgin, Martinez and
+Raydan 2000), whose iteration count stays flat under refinement.  K_w =
+sum_i D_i^T diag(cell_in e^{f_base(ubar)} A_ii^{aa}) D_i of component a
+is the frozen-weight (Kacanov) linearization of -div(e^{f(U)} grad U),
+rebuilt once f_base has moved by more than _REFACTOR_DF at some
+in-domain cell since the last build (_Metric).  On box grids the
+half-weight transform W' = e^{f/2} linearizes it to S K S, with K the
+cell-averaged Laplacian and S^2 the node mean of the cell weights, so
+S^{-1} K^{-1} S^{-1} costs one DST-I pair of
+oracle.box_laplacian_inverse (the Sobolev gradient of Neuberger, with
+the weight).  On masked and half-ball grids K_w is assembled sparse and
+factored by LU.  While a bound is active the descent takes plain
 projected BB steps along g; each step kind keeps its own BB length.  A
 coefficient tensor is sampled at the cell midpoints once per solve.
 
@@ -45,8 +45,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .energy import (CoefficientTensor, SampledTensor, cell_mask, cell_op, cell_stencils,
-                     energy_raw, grad_raw, sample_tensor, weighted_laplacian)
+from .energy import (CoefficientTensor, SampledTensor, cell_mask, cell_op, cell_op_adjoint,
+                     cell_stencils, energy_raw, grad_raw, sample_tensor, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -56,8 +56,8 @@ _STEP_MAX = 1e6
 _BACKTRACK_LIMIT = 60
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-# K_w is refactored once f_base at some in-domain cell has moved this far
-# since the last factorization
+# the metric is rebuilt once f_base at some in-domain cell has moved this
+# far since the last build
 _REFACTOR_DF = 0.7
 
 
@@ -163,92 +163,93 @@ def _projected_gradient(values: np.ndarray, grad: np.ndarray,
     return pg
 
 
-def _averaged_form(s: np.ndarray, grid: Grid) -> float:
-    """<s, K s> = sum_i |D_i s|^2 for the cell-averaged Laplacian K, s zero on the hull."""
-    return float(sum(np.sum(cell_op(s, d) ** 2) for d in cell_stencils(grid)[1]))
+def _scaled_block(lap_inv, mean, weights):
+    """(S, 1, S^{-1} K^{-1} S^{-1}), S^2 the node mean of the axis-averaged weights."""
+    S = np.sqrt(cell_op_adjoint(sum(weights) / len(weights), mean))
+    # where every adjacent cell weight underflows, S = 1 mirrors the unit
+    # diagonal that K_w gives an empty row
+    S[S == 0.0] = 1.0
+    S = S[..., None]
+    return S, [1.0] * len(weights), lambda r: lap_inv(r / S) / S
 
 
-class _BoxMetric:
-    """The cell-averaged Laplacian K of a box grid, inverted by DST-I."""
+def _factored_block(grid, weights):
+    """(1, c_i, K_w^{-1}) with K_w factored by sparse LU, in float32: only a metric."""
+    K = weighted_laplacian(grid, weights)
+    # an interior node on no weighted cell has an empty row and a zero
+    # gradient; a unit diagonal keeps K_w regular, d = 0 there
+    K = K + sparse.diags((K.diagonal() == 0.0).astype(float), format="csc")
+    lu = splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, relax=4, panel_size=4,
+              options={"SymmetricMode": True})
+    idx = grid.interior_indices
 
-    factorizations = 0
+    def inverse(r):
+        out = np.zeros(r.shape)
+        k = r.shape[-1]
+        out.reshape(-1, k)[idx] = lu.solve(r.reshape(-1, k)[idx].astype(np.float32))
+        return out
 
-    def __init__(self, grid: Grid, solve):
-        self.grid = grid
-        self.solve = solve
-
-    def refresh(self, values: np.ndarray) -> None:
-        pass
-
-    def form(self, s: np.ndarray) -> float:
-        return _averaged_form(s, self.grid)
+    return 1.0, [c[..., None] for c in weights], inverse
 
 
-class _KacanovMetric:
-    """The frozen-weight operator K_w of a masked or half-ball grid.
+class _Metric:
+    """The frozen-weight operator K_w of every grid, in blocks of components.
 
-    For component a, K_w = sum_i D_i^T diag(cell_in e^{f_base(ubar)}
-    A_ii^{aa}) D_i on the interior nodes: up to the factor 2 vol, the
-    energy Hessian with the weight frozen at the last factorization and
-    the tensor cut to its diagonal blocks.  The sparse LU factor is only
-    a metric, so it is kept and applied in float32; energies and
-    gradients stay float64.  Components with equal cell weights share one
-    factor.
+    Components with equal cell weights c_i = cell_in e^{f_base(ubar)}
+    A_ii^{aa} share one block (T, c, inverse), whose BB form sum_i
+    sum_cells c |D_i (T s)|^2 is the exact form of the operator it
+    inverts: the scaled DST-I block on box grids, the LU block elsewhere.
+    The inverses hold no reference to the metric, so it makes no cycle.
     """
 
     def __init__(self, grid: Grid, w: Weight, A: SampledTensor | None, ncomp: int):
         self.grid, self.w, self.A, self.ncomp = grid, w, A, ncomp
-        self.mean = cell_stencils(grid)[0]
+        self.mean, self.diffs = cell_stencils(grid)
         self.cell_in = cell_mask(grid)
+        self.lap_inv = box_laplacian_inverse(grid, averaged=True)
         self.f_ref = None
-        self.blocks = []  # (K_w, its LU factor, the components sharing it)
+        self.blocks = []  # (cell weights, T, c, inverse, the components sharing it)
         self.factorizations = 0
 
     def refresh(self, values: np.ndarray) -> None:
-        """Refactor when the weight has moved too far since the last factorization."""
+        """Rebuild when the weight has moved too far since the last build."""
         fb = self.w.f_base(cell_op(values, self.mean))
         if self.f_ref is not None and not (
                 np.abs(fb - self.f_ref)[self.cell_in] > _REFACTOR_DF).any():
             return
         self.f_ref = fb
         c = self.cell_in * np.exp(fb)
-        self.blocks, factored = [], []
+        self.blocks = []
         for a in range(self.ncomp):
             if self.A is None:
                 weights = [c] * self.grid.ndim
             else:
                 weights = [c * self.A.Asym[..., i, i, a, a] for i in range(self.grid.ndim)]
-            for seen, (_, _, comps) in zip(factored, self.blocks):
+            for seen, *_, comps in self.blocks:
                 if all(np.array_equal(x, y) for x, y in zip(seen, weights)):
                     comps.append(a)
                     break
             else:
-                K = weighted_laplacian(self.grid, weights)
-                # an interior node on no weighted cell has an empty row and a
-                # zero gradient; a unit diagonal keeps K_w regular, d = 0 there
-                K = K + sparse.diags((K.diagonal() == 0.0).astype(float), format="csc")
-                lu = splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.0, relax=4, panel_size=4,
-                          options={"SymmetricMode": True})
+                if self.lap_inv is None:
+                    block = _factored_block(self.grid, weights)
+                else:
+                    block = _scaled_block(self.lap_inv, self.mean, weights)
                 self.factorizations += 1
-                factored.append(weights)
-                self.blocks.append((K, lu, [a]))
+                self.blocks.append((weights, *block, [a]))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """K_w^{-1} r on the interior nodes, zero elsewhere."""
-        idx = self.grid.interior_indices
-        rhs = r.reshape(-1, self.ncomp)[idx]
         out = np.zeros(r.shape)
-        flat = out.reshape(-1, self.ncomp)
-        for _, lu, comps in self.blocks:
-            flat[idx[:, None], comps] = lu.solve(rhs[:, comps].astype(np.float32))
+        for *_, inverse, comps in self.blocks:
+            out[..., comps] = inverse(r[..., comps])
         return out
 
     def form(self, s: np.ndarray) -> float:
-        """<s, K_w s> for s zero off the interior; 0 before the first factorization."""
-        x = s.reshape(-1, self.ncomp)[self.grid.interior_indices]
-        return float(sum(np.sum(x[:, comps] * (K @ x[:, comps]))
-                         for K, _, comps in self.blocks))
+        """<s, K_w s> for s zero off the interior; 0 before the first build."""
+        return float(sum(np.sum(c * cell_op(T * s[..., comps], d) ** 2)
+                         for _, T, cs, _, comps in self.blocks
+                         for c, d in zip(cs, self.diffs)))
 
 
 def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
@@ -284,11 +285,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     t0 = time.perf_counter()
     # the midpoints never move: sample and symmetrize the tensor once
     A = sample_tensor(grid, A, adm.ncomp)
-    box_solve = box_laplacian_inverse(grid, averaged=True)
-    if box_solve is not None:
-        metric = _BoxMetric(grid, box_solve)
-    else:
-        metric = _KacanovMetric(grid, w, A, adm.ncomp)
+    metric = _Metric(grid, w, A, adm.ncomp)
 
     U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
     E, _, _, grad = energy_raw(grid, U, w, A)
@@ -357,7 +354,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         y = g_new - g
         sy = float(np.sum(s * y))
         # BB1 length of each kind in its own metric: <s, s> for plain
-        # steps, <s, vol K s> for preconditioned ones
+        # steps, <s, vol K_w s> for preconditioned ones
         norms = [float(np.sum(s * s)), grid.cell_volume * metric.form(s)]
         for k, ss in enumerate(norms):
             if sy > 1e-300 and ss > 0:

@@ -214,8 +214,7 @@ def _chart_box(chart_bdry: BoundaryData, margin: float = 0.5) -> np.ndarray:
 
 
 def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
-                opts: SolveOptions | None = None,
-                init: Field | None = None) -> SphereMapResult:
+                opts: SolveOptions | None = None) -> SphereMapResult:
     """Minimize the sphere_chart(2) energy in one chart and map back.
 
     Unless the caller pins tol_pg, chart solves use a tolerance scale of
@@ -227,8 +226,6 @@ def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
     opts = opts or SolveOptions()
     if opts.tol_pg is None and opts.tol_factor == SolveOptions().tol_factor:
         opts = dataclasses.replace(opts, tol_factor=1e-7)
-    if init is not None:
-        opts = dataclasses.replace(opts, init=init)
     w = sphere_chart(2.0)
     U, report = minimize(grid, w, adm, opts=opts)
 

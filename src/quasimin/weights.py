@@ -54,11 +54,9 @@ class WeightSpec:
     alpha: float | None = None
     beta: float | None = None
     value: float = 0.0
-    f: Callable | None = None
-    g: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "sphere_chart", "constant", "custom"):
+        if self.kind not in ("gaussian", "sphere_chart", "constant"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
 
@@ -117,11 +115,7 @@ def make_weight(spec: WeightSpec) -> Weight:
         if spec.beta is None:
             raise ValueError("sphere_chart weight needs beta")
         return sphere_chart(spec.beta)
-    if spec.kind == "constant":
-        return constant(spec.value)
-    if spec.f is None or spec.g is None:
-        raise ValueError("custom weight needs both f and g")
-    return custom(spec.f, spec.g)
+    return constant(spec.value)
 
 
 def eval_weight(w: Weight, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -124,9 +124,9 @@ def test_solve_summary_counts_the_work(tmp_path):
     iters = int(summary["iterations"])
     assert int(summary["energy_evals"]) == 1 + iters + int(summary["backtracks"])
     # a box grid with no active bound takes only preconditioned steps,
-    # inverting K by DST-I without a factorization
+    # building its DST-I metric at least once
     assert int(summary["preconditioned_steps"]) == iters
-    assert int(summary["factorizations"]) == 0
+    assert int(summary["factorizations"]) >= 1
     # a masked grid factors K_w at least once
     disk = SOLVE_SPEC.replace("kind = box", "kind = masked_box\nmask = x1^2 + x2^2 <= 1").replace(
         "extents = 0 1 ; 0 1", "extents = -1 1 ; -1 1")
@@ -214,6 +214,9 @@ def _malformed(lines):
         "missing_values": header + [" ".join(r.split()[:3]) for r in rows],
         "extra_column": header + rows[:1] + [rows[1] + " 0"] + rows[2:],
         "bad_token": header + rows[:5] + [rows[5].rsplit(" ", 1)[0] + " abc"] + rows[6:],
+        "late_short_row": header + rows[:5] + [rows[5].rsplit(" ", 1)[0]] + rows[6:],
+        # float() reads 1_0, loadtxt does not
+        "underscore_token": header + rows[:5] + [rows[5].rsplit(" ", 1)[0] + " 1_0"] + rows[6:],
         "wrong_components": [*header[:2], "components: 3", header[3]] + rows,
         "truncated": header + rows[:-2],
         "header_only": header,
@@ -223,11 +226,14 @@ def _malformed(lines):
     }
 
 
+# a row defect is named by its file line: four header lines, then the rows
 _MALFORMED_MESSAGES = {
-    "short_row": "expected 5 columns per row.*at row 3",
+    "short_row": "line 7: 4 columns, expected 5",
     "missing_values": "3 columns, expected 5",
-    "extra_column": "expected 5 columns per row.*at row 2",
-    "bad_token": "expected 5 columns per row.*'abc'.*row 5",
+    "extra_column": "line 6: 6 columns, expected 5",
+    "bad_token": "line 10: 'abc' is not a number",
+    "late_short_row": "line 10: 4 columns, expected 5",
+    "underscore_token": "expected 5 columns per row.*'1_0'",
     "wrong_components": "5 columns, expected 6",
     "truncated": "10 rows, expected 12",
     "header_only": "no rows, expected 12",

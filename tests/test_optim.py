@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from quasimin import (
     SolveOptions,
     build_grid,
     constant,
+    custom,
     gaussian,
     kkt_residual,
     minimize,
@@ -21,7 +24,7 @@ from quasimin import (
 )
 from quasimin.energy import cell_op, cell_stencils, grad_raw, weighted_laplacian
 from quasimin.grids import shifted
-from quasimin.optim import _averaged_form, box_laplacian_inverse
+from quasimin.optim import _Metric, box_laplacian_inverse
 from quasimin.oracle import lattice_laplacian_inverse
 
 
@@ -201,11 +204,11 @@ def test_final_pg_equals_kkt_residual(phi, alpha, active):
     assert rep.final_pg == kkt_residual(g, u, gaussian(alpha), adm)
 
 
-def _boxes():
-    # unequal spacing on every axis
-    yield build_grid(DomainSpec.box([(0, 1)]), (19,))
-    yield build_grid(DomainSpec.box([(0, 1), (0, 3)]), (13, 21))
-    yield build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (9, 12, 7))
+def _boxes(k=1):
+    # unequal spacing on every axis; k refines every axis k times
+    yield build_grid(DomainSpec.box([(0, 1)]), (18 * k + 1,))
+    yield build_grid(DomainSpec.box([(0, 1), (0, 3)]), (12 * k + 1, 20 * k + 1))
+    yield build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (8 * k + 1, 11 * k + 1, 6 * k + 1))
 
 
 def test_box_laplacian_inverse_is_none_off_the_box():
@@ -249,7 +252,9 @@ def test_averaged_inverse_is_the_energy_hessian(grid):
     want = 2.0 * grid.cell_volume * r[inner]
     assert np.abs(g[inner] - want).max() <= 1e-12 * np.abs(want).max()
     form = float(np.sum(v[inner] * r[inner]))
-    assert abs(_averaged_form(v, grid) - form) <= 1e-12 * abs(form)
+    metric = _Metric(grid, constant(0.0), None, 1)
+    metric.refresh(v)
+    assert abs(metric.form(v) - form) <= 1e-12 * abs(form)
 
 
 def test_iteration_count_is_mesh_independent_on_the_box():
@@ -266,6 +271,58 @@ def test_iteration_count_is_mesh_independent_on_the_box():
         gaps.append(float(np.abs(u.values - solve_scalar_exact(g, w, bd).values).max()))
     assert max(iters) <= 1.3 * min(iters), iters
     assert gaps[1] / gaps[2] >= 3.5, gaps
+
+
+def test_iteration_count_is_mesh_independent_on_the_weighted_box():
+    # e^{-u^2} spans about 1e-7 over the data: the metric must follow the
+    # weight, S^{-1} K^{-1} S^{-1} with S = e^{f/2}, for the count to stay flat
+    w = gaussian(1.0)
+    for n in (33, 65, 129):
+        g = square(n)
+        adm = AdmissibleSet.from_boundary(
+            sample_boundary(g, lambda p: 16.0 * (p[:, 0] - 0.5) * (p[:, 1] - 0.5)))
+        u, rep = minimize(g, w, adm)
+        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert rep.iterations <= 20, (n, rep.iterations)
+        assert kkt_residual(g, u, w, adm) <= rep.tol_pg
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["1d", "2d", "3d"])
+def test_iteration_count_is_mesh_independent_on_tensor_boxes(axis):
+    # a diagonal tensor with unequal axis entries on unequally spaced boxes
+    iters = []
+    for k in (1, 2):
+        g = list(_boxes(k))[axis]
+        A = CoefficientTensor.diagonal([1.0 + i for i in range(g.ndim)])
+        adm = AdmissibleSet.from_boundary(sample_boundary(
+            g, lambda p: np.stack([p[:, 0] * p[:, -1], 0.5 * p[:, 0]], axis=1)))
+        u, rep = minimize(g, gaussian(0.5), adm, A=A)
+        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert kkt_residual(g, u, gaussian(0.5), adm, A=A) <= rep.tol_pg
+        iters.append(rep.iterations)
+    assert max(iters) <= 20 and max(iters) <= 1.3 * min(iters), iters
+
+
+def test_box_weight_underflowing_on_some_cells_converges():
+    # e^{-2000 u^2} is 0.0 in float64 on the cells where u is near 0.9:
+    # there S = 1, as K_w's unit diagonal on an empty row
+    g = square(17)
+    w = custom(lambda U: -2000.0 * np.sum(U * U, axis=-1),
+               lambda U: np.full(U.shape[:-1], 4000.0))
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: 0.9 * (p[:, 0] > 0.5)))
+    u, rep = minimize(g, w, adm, opts=SolveOptions(max_iters=200))
+    assert rep.converged and np.isfinite(u.values).all()
+    assert np.all(np.diff(rep.energy_history) <= 0.0)
+
+
+@pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
+def test_constant_weight_box_metric_is_the_averaged_inverse(grid):
+    # with a constant weight S is exactly 1 and the metric is the DST-I K^{-1}
+    rng = np.random.default_rng(8)
+    metric = _Metric(grid, constant(0.0), None, 2)
+    metric.refresh(rng.standard_normal(grid.dims + (2,)))
+    r = rng.standard_normal(grid.dims + (2,))
+    assert np.array_equal(metric.solve(r), box_laplacian_inverse(grid, averaged=True)(r))
 
 
 def test_report_counts_energy_evaluations():
@@ -380,3 +437,19 @@ def test_active_bound_box_solve_switches_step_kinds():
     flat = u.flat()
     assert np.array_equal(flat[g.boundary_indices], adm.boundary.values)
     assert np.all(np.abs(flat) <= adm.box)
+
+
+def test_minimize_leaves_no_reference_cycles():
+    # the metric's stored inverses must not capture the metric
+    problems = [(g, AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1])))
+                for g in (square(17), _disk(17))]
+    for g, adm in problems:
+        minimize(g, gaussian(1.0), adm)
+    gc.collect()
+    gc.disable()
+    try:
+        for g, adm in problems:
+            minimize(g, gaussian(1.0), adm)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
