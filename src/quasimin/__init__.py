@@ -29,7 +29,6 @@ from .oracle import (
     ConvergenceError,
     SourceField,
     TransformTable,
-    halfweight_table,
     poisson_dirichlet,
     solve_scalar_exact,
     solve_scalar_source,
@@ -52,7 +51,6 @@ from .weights import (
     WeightSpec,
     constant,
     custom,
-    eval_weight,
     gaussian,
     make_weight,
     sphere_chart,

@@ -175,8 +175,7 @@ def _run_sphere(spec, paths, writes):
     if norms.min() < 1e-8:
         raise _RunError(3, "sphere boundary expression vanishes at a node")
     bdry = BoundaryData(grid, bdry.values / norms[:, None])
-    r1, r2 = solve_harmonic_pair(grid, bdry, opts=spec.solver,
-                                 candidates=spec.sphere_candidates)
+    r1, r2 = solve_harmonic_pair(grid, bdry, opts=spec.solver)
     items = {
         "mode": "sphere",
         "converged": r1.report.converged and r2.report.converged,

@@ -50,14 +50,13 @@ class CoefficientTensor:
 
     func: Callable[[np.ndarray, int], np.ndarray] | None = None
     is_identity: bool = False
-    label: str = "identity"
 
     @staticmethod
     def identity() -> "CoefficientTensor":
-        return CoefficientTensor(func=None, is_identity=True, label="identity")
+        return CoefficientTensor(func=None, is_identity=True)
 
     @staticmethod
-    def diagonal(entries: Sequence, label: str = "diagonal") -> "CoefficientTensor":
+    def diagonal(entries: Sequence) -> "CoefficientTensor":
         """Spatially diagonal tensor A_{ij}^{ab} = d_i(x) delta_ij delta^ab.
 
         entries holds one constant or one callable (points -> values) per
@@ -79,7 +78,7 @@ class CoefficientTensor:
                 )
             return out
 
-        return CoefficientTensor(func=func, is_identity=False, label=label)
+        return CoefficientTensor(func=func, is_identity=False)
 
     def eval(self, points: np.ndarray, ncomp: int) -> np.ndarray:
         if self.func is None:
@@ -225,8 +224,8 @@ def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
 def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | None):
     """Shared per-cell quantities for energy and gradient assembly.
 
-    Returns (weight e^{f_base} per cell, DU per cell (..., n, N), quadratic
-    form per cell, A-weighted gradient G with dQ/dDU = 2G, cell mask, cell
+    Returns (f_base per cell, weight e^{f_base} per cell, quadratic form
+    per cell, A-weighted gradient G with dQ/dDU = 2G, cell mask, cell
     average of U).
     """
     mean, diffs = cell_stencils(grid)
@@ -234,7 +233,8 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | N
     D = np.stack([cell_op(values, d) for d in diffs], axis=-2)
     cell_in = cell_mask(grid)
 
-    wcell = np.exp(w.f_base(ubar))
+    fcell = w.f_base(ubar)
+    wcell = np.exp(fcell)
 
     if A is None:
         Q = np.sum(D * D, axis=(-2, -1))
@@ -242,7 +242,7 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: SampledTensor | N
     else:
         G = np.einsum("...ijab,...jb->...ia", A.Asym, D)
         Q = np.einsum("...ia,...ia->...", D, G)
-    return wcell, D, Q, G, cell_in, ubar
+    return fcell, wcell, Q, G, cell_in, ubar
 
 
 def _cell_midpoints(grid: Grid) -> np.ndarray:
@@ -255,16 +255,17 @@ def _cell_midpoints(grid: Grid) -> np.ndarray:
 
 
 def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
-    """Energy value, per-cell contributions, symmetrization delta, and grad.
+    """Energy value, per-cell contributions, symmetrization delta, grad, f_base.
 
     A is None, a CoefficientTensor (sampled on this call) or a
     SampledTensor.  grad is a zero-argument closure over this call's
     cell-kernel outputs; calling it returns the exact gradient at the same
-    values without a second kernel pass.
+    values without a second kernel pass.  f_base is the weight's base
+    function at the cell averages of the values.
     """
     A = sample_tensor(grid, A, values.shape[-1])
     sym_delta = A.sym_delta if A is not None else 0.0
-    wcell, _, Q, G, cell_in, ubar = _cell_kernel(grid, values, w, A)
+    fcell, wcell, Q, G, cell_in, ubar = _cell_kernel(grid, values, w, A)
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
 
     def grad() -> np.ndarray:
@@ -278,7 +279,7 @@ def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
         out[~grid.interior_mask] = 0.0
         return out
 
-    return float(cells.sum()), cells, sym_delta, grad
+    return float(cells.sum()), cells, sym_delta, grad, fcell
 
 
 def grad_raw(grid: Grid, values: np.ndarray, w: Weight, A=None) -> np.ndarray:
@@ -296,7 +297,7 @@ def energy(grid: Grid, U: Field, w: Weight,
     """
     if U.grid is not grid and U.grid.dims != grid.dims:
         raise ValueError("field does not live on the given grid")
-    value, cells, sym_delta, _ = energy_raw(grid, U.values, w, A)
+    value, cells, sym_delta, _, _ = energy_raw(grid, U.values, w, A)
     q_norms = {}
     if q_exponents:
         D = np.stack([cell_op(U.values, d) for d in cell_stencils(grid)[1]], axis=-2)

@@ -124,7 +124,7 @@ def read_field(path) -> tuple[Field, Grid]:
     ok = (body[:, :n] == scan).all(axis=1) & np.isin(body[:, n], _CLASSES)
     if not ok.all():
         k = int(np.argmin(ok))
-        raise ValueError(f"field dump row {k + 1}: indices and class "
+        raise ValueError(f"field dump line {k + 1 + _HEADER_LINES}: indices and class "
                          f"{body[k, : n + 1].tolist()}, expected node {scan[k].tolist()} "
                          f"and a class in {_CLASSES}")
     grid = Grid(dims, spacing, origin, body[:, n].astype(np.int8).reshape(dims))

@@ -84,10 +84,10 @@ class AdmissibleSet:
         return self.boundary.ncomp
 
     @staticmethod
-    def from_boundary(boundary: BoundaryData, box=None, margin: float = 0.0) -> "AdmissibleSet":
-        """Default box: componentwise max |phi| over boundary nodes (+ margin)."""
+    def from_boundary(boundary: BoundaryData, box=None) -> "AdmissibleSet":
+        """Default box: componentwise max |phi| over boundary nodes."""
         if box is None:
-            box = np.abs(boundary.values).max(axis=0) + margin
+            box = np.abs(boundary.values).max(axis=0)
         return AdmissibleSet(np.asarray(box, dtype=float), boundary)
 
 
@@ -97,7 +97,7 @@ class SolveOptions:
 
     tol_pg: float | None = None
     max_iters: int = 50000
-    init: str | Field = "harmonic_extension"  # "boundary_constant" | Field
+    init: Field | None = None  # None starts from the harmonic extension
     tol_factor: float = 1e-8
 
     def __post_init__(self):
@@ -179,9 +179,14 @@ def _factored_block(grid, weights):
     # an interior node on no weighted cell has an empty row and a zero
     # gradient; a unit diagonal keeps K_w regular, d = 0 there
     K = K + sparse.diags((K.diagonal() == 0.0).astype(float), format="csc")
-    lu = splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, relax=4, panel_size=4,
-              options={"SymmetricMode": True})
+    try:
+        lu = splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, relax=4, panel_size=4,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        # cell weights that vanish, or underflow float32, on whole regions
+        # leave K_w singular beyond the empty rows the unit diagonal covers
+        raise FloatingPointError(f"metric factorization failed: {exc}") from None
     idx = grid.interior_indices
 
     def inverse(r):
@@ -203,8 +208,8 @@ class _Metric:
     The inverses hold no reference to the metric, so it makes no cycle.
     """
 
-    def __init__(self, grid: Grid, w: Weight, A: SampledTensor | None, ncomp: int):
-        self.grid, self.w, self.A, self.ncomp = grid, w, A, ncomp
+    def __init__(self, grid: Grid, A: SampledTensor | None, ncomp: int):
+        self.grid, self.A, self.ncomp = grid, A, ncomp
         self.mean, self.diffs = cell_stencils(grid)
         self.cell_in = cell_mask(grid)
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
@@ -212,9 +217,8 @@ class _Metric:
         self.blocks = []  # (cell weights, T, c, inverse, the components sharing it)
         self.factorizations = 0
 
-    def refresh(self, values: np.ndarray) -> None:
-        """Rebuild when the weight has moved too far since the last build."""
-        fb = self.w.f_base(cell_op(values, self.mean))
+    def refresh(self, fb: np.ndarray) -> None:
+        """Rebuild when f_base at the cell means has moved too far since the last build."""
         if self.f_ref is not None and not (
                 np.abs(fb - self.f_ref)[self.cell_in] > _REFACTOR_DF).any():
             return
@@ -252,17 +256,12 @@ class _Metric:
                          for c, d in zip(cs, self.diffs)))
 
 
-def _initial_values(grid: Grid, adm: AdmissibleSet, init) -> np.ndarray:
-    if isinstance(init, Field):
-        if init.values.shape != grid.dims + (adm.ncomp,):
-            raise ValueError("given initial field has the wrong shape")
-        return init.values.copy()
-    if init == "boundary_constant":
-        const = adm.boundary.values.mean(axis=0)
-        return np.tile(const, grid.dims + (1,))
-    if init == "harmonic_extension":
-        return poisson_dirichlet(grid, None, adm.boundary).values.copy()
-    raise ValueError(f"unknown initialization {init!r}")
+def _initial_values(grid: Grid, adm: AdmissibleSet, init: Field | None) -> np.ndarray:
+    if init is None:
+        return poisson_dirichlet(grid, None, adm.boundary).values
+    if init.values.shape != grid.dims + (adm.ncomp,):
+        raise ValueError("given initial field has the wrong shape")
+    return init.values
 
 
 def _at_bound(values: np.ndarray, grid: Grid, adm: AdmissibleSet) -> np.ndarray:
@@ -285,10 +284,10 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     t0 = time.perf_counter()
     # the midpoints never move: sample and symmetrize the tensor once
     A = sample_tensor(grid, A, adm.ncomp)
-    metric = _Metric(grid, w, A, adm.ncomp)
+    metric = _Metric(grid, A, adm.ncomp)
 
     U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
-    E, _, _, grad = energy_raw(grid, U, w, A)
+    E, _, _, grad, fb = energy_raw(grid, U, w, A)
     evals = 1
     if not np.isfinite(E):
         raise FloatingPointError("initial energy is not finite")
@@ -318,7 +317,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     while not converged and iters < opts.max_iters:
         pre = not _at_bound(U, grid, adm).any()
         if pre:
-            metric.refresh(U)
+            metric.refresh(fb)
             d = metric.solve(g) / grid.cell_volume
             if taus[1] is None:
                 taus[1] = scale / (1.0 + float(np.abs(d).max()))
@@ -329,7 +328,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             U_new = _project_values(U - tau * d, grid, adm)
             step = U_new - U
             dd = float(np.sum(g * step))
-            E_new, _, _, grad = energy_raw(grid, U_new, w, A)
+            E_new, _, _, grad, fb_new = energy_raw(grid, U_new, w, A)
             evals += 1
             # a clipped preconditioned step may point uphill (dd > 0);
             # it must still not raise the energy
@@ -343,7 +342,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             ls_failures += 1
             tau = _STEP_MIN
             U_new = _project_values(U - tau * d, grid, adm)
-            E_new, _, _, grad = energy_raw(grid, U_new, w, A)
+            E_new, _, _, grad, fb_new = energy_raw(grid, U_new, w, A)
             evals += 1
             if not (np.isfinite(E_new) and E_new <= E):
                 stall = "line search stalled at the minimum step"
@@ -363,7 +362,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
                 taus[k] = 2.0 * max(tau, prev_taus[k])
         prev_taus[pre] = tau
 
-        U, E, g = U_new, E_new, g_new
+        U, E, g, fb = U_new, E_new, g_new, fb_new
         pg = _projected_gradient(U, g, grid, adm)
         pgn = float(np.abs(pg).max())
         iters += 1

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .grids import BoundaryData, Field, Grid, shifted
 from .weights import Weight
@@ -61,6 +60,8 @@ class SourceField:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# odd, so that 0 is a table node and W(0) = 0 exactly
+_TABLE_NODES = 2049
 
 
 def _gl_integrate(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,14 +79,12 @@ def _gl_integrate(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class TransformTable:
     """Tabulated monotone map W(u) = int_0^u e^{f(s)/2} ds and its inverse."""
 
-    def __init__(self, weight: Weight, range_m: float, nodes: int = 2049):
+    def __init__(self, weight: Weight, range_m: float):
         if range_m <= 0:
             raise ValueError("table range must be positive")
-        if nodes % 2 == 0:
-            nodes += 1  # keep 0 as a table node so W(0) = 0 exactly
         self.weight = weight
         self.range_m = float(range_m)
-        self.table_u = np.linspace(-self.range_m, self.range_m, nodes)
+        self.table_u = np.linspace(-self.range_m, self.range_m, _TABLE_NODES)
 
         fhalf = 0.5 * self._f_scalar(self.table_u)
         if fhalf.max() > 700.0:
@@ -95,8 +94,8 @@ class TransformTable:
         seg = _gl_integrate(self._density, self.table_u[:-1], self.table_u[1:])
         if not (seg > 0).all():
             raise ValueError("transform density must be positive on the range")
-        mid = nodes // 2
-        w = np.zeros(nodes)
+        mid = _TABLE_NODES // 2
+        w = np.zeros(_TABLE_NODES)
         w[mid + 1 :] = np.cumsum(seg[mid:])
         w[:mid] = -np.cumsum(seg[:mid][::-1])[::-1]
         self.table_w = w
@@ -160,11 +159,6 @@ class TransformTable:
         if boundary.ncomp != 1:
             raise ValueError("transform oracle handles scalar data only")
         return BoundaryData(boundary.grid, self.forward(boundary.values[:, 0]))
-
-
-def halfweight_table(f: Weight, range_m: float) -> TransformTable:
-    """Build the transform table for a scalar weight on [-M, M]."""
-    return TransformTable(f, range_m)
 
 
 def default_table_range(boundary: BoundaryData, box_sup: float | None = None) -> float:
@@ -238,6 +232,31 @@ def box_laplacian_inverse(grid: Grid, averaged: bool = False):
     return lattice_laplacian_inverse(grid, averaged)
 
 
+def _pcg(apply, precond, b: np.ndarray, maxiter: int) -> np.ndarray:
+    """Preconditioned conjugate gradients from zero until |r| <= 1e-12 |b|.
+
+    Inner products are np.sum reductions, not BLAS dot products, so the
+    iterates do not depend on the BLAS thread count.  apply runs once per
+    iteration.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    tol = 1e-12 * np.sqrt(np.sum(b * b))
+    p, rz = None, None
+    for _ in range(maxiter):
+        if np.sqrt(np.sum(r * r)) <= tol:
+            return x
+        z = precond(r)
+        rz, rz_prev = np.sum(r * z), rz
+        p = z if p is None else z + (rz / rz_prev) * p
+        q = apply(p)
+        alpha = rz / np.sum(p * q)
+        x += alpha * p
+        r -= alpha * q
+    raise ConvergenceError(f"conjugate gradients did not converge in {maxiter} iterations",
+                           residual=float(np.sqrt(np.sum(r * r))))
+
+
 def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
                       boundary: BoundaryData) -> Field:
     """Solve -Delta_h v = rhs with Dirichlet data, per component.
@@ -249,7 +268,8 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
     (zero off the interior), L^{-1} is lattice_laplacian_inverse, and R
     gathers the interior back (Concus and Golub 1973); an interior node
     with no interior neighbour is its own block of M.  The operator and M
-    are symmetric positive definite, so CG failure signals an assembly bug.
+    are symmetric positive definite, so CG failure signals an assembly bug
+    and raises ConvergenceError.
     """
     if grid.num_interior == 0:
         raise ValueError("grid has no interior nodes")
@@ -263,7 +283,6 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
         return Field(grid, boundary.ncomp, lap_inv(b) + bfield)
 
     int_idx = grid.interior_indices
-    n_int = int_idx.size
     diag = 2.0 * sum(1.0 / h**2 for h in grid.spacing)
 
     def apply_homogeneous(v_int: np.ndarray) -> np.ndarray:
@@ -290,15 +309,10 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
         out[lone] = r_int[lone] / diag
         return out
 
-    op = LinearOperator((n_int, n_int), matvec=apply_homogeneous)
-    precond = LinearOperator((n_int, n_int), matvec=apply_preconditioner)
     flat = bfield.reshape(grid.num_nodes, boundary.ncomp)  # a view of bfield
     for a in range(boundary.ncomp):
-        sol, info = cg(op, b[..., a].reshape(-1)[int_idx], rtol=1e-12, atol=0.0,
-                       maxiter=20 * n_int + 200, M=precond)
-        if info != 0:
-            raise ConvergenceError(f"conjugate gradients failed (info={info})")
-        flat[int_idx, a] = sol
+        flat[int_idx, a] = _pcg(apply_homogeneous, apply_preconditioner,
+                                b[..., a].reshape(-1)[int_idx], 20 * int_idx.size + 200)
     return Field(grid, boundary.ncomp, bfield)
 
 

@@ -55,7 +55,6 @@ class ProblemSpec:
     tensor: CoefficientTensor | None = None
     solver: SolveOptions = dataclass_field(default_factory=SolveOptions)
     box_bound: np.ndarray | None = None
-    sphere_candidates: int = 256
     radii: tuple[float, ...] | None = None
     spacing: float | None = None
     window: tuple[tuple[float, float], ...] | None = None
@@ -108,7 +107,7 @@ def _solver_option(name, convert):
 
 def _diagonal_tensor(value):
     exprs = [parse_expr(part.strip()) for part in value.split(";")]
-    return CoefficientTensor.diagonal(exprs, label="diagonal")
+    return CoefficientTensor.diagonal(exprs)
 
 
 # (section, key) -> (diagnostic label, converter, ProblemSpec field or None)
@@ -128,10 +127,7 @@ _KEYS = {
     ("tensor", "diagonal"): ("tensor diagonal", _diagonal_tensor, "tensor"),
     ("solver", "tol_pg"): ("tol_pg", _solver_option("tol_pg", float), None),
     ("solver", "max_iters"): ("max_iters", _solver_option("max_iters", int), None),
-    ("solver", "init"): ("init", _choice("harmonic_extension", "boundary_constant"), None),
     ("solver", "box_bound"): ("box_bound", lambda v: np.array(_floats(v)), "box_bound"),
-    ("sphere", "candidates"): ("candidate count", _checked(
-        int, lambda c: c >= 16, "need at least 16 pole candidates"), "sphere_candidates"),
     ("halfspace", "radii"): ("radii", lambda v: tuple(_floats(v)), "radii"),
     ("halfspace", "spacing"): ("spacing", _checked(
         float, lambda h: h > 0, "spacing must be positive"), "spacing"),

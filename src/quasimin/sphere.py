@@ -33,6 +33,9 @@ from .weights import constant, sphere_chart
 
 _POLE_EPS = 1e-8
 _MARGIN_MIN = 1e-3
+_POLE_CANDIDATES = 256
+# added to the chart data's componentwise max |Y| to make a chart's box
+_CHART_MARGIN = 0.5
 
 
 def as_unit_points(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -143,18 +146,16 @@ def candidate_poles(sphere_dim: int, count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
-def choose_poles(boundary_points: np.ndarray, candidates: int = 256) -> ChartPole:
+def choose_poles(boundary_points: np.ndarray) -> ChartPole:
     """Pick the pole whose antipodal pair stays farthest from the data.
 
     Maximizes min over samples of min(dist(P, s), dist(-P, s)) over a
-    deterministic candidate set; fails when no pair clears a small margin
-    (boundary data nearly surjective onto the sphere).
+    deterministic set of _POLE_CANDIDATES candidates; fails when no pair
+    clears a small margin (boundary data nearly surjective onto the sphere).
     """
-    if candidates < 16:
-        raise ValueError("need at least 16 pole candidates")
     samples = as_unit_points(boundary_points)
     sphere_dim = samples.shape[-1] - 1
-    cands = candidate_poles(sphere_dim, candidates)
+    cands = candidate_poles(sphere_dim, _POLE_CANDIDATES)
     # squared distance to the nearer of {P, -P} is 2 - 2 |P . s|
     dots = np.abs(cands @ samples.reshape(-1, samples.shape[-1]).T)
     margins = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
@@ -209,8 +210,8 @@ def _chart_boundary(pole: ChartPole, boundary: BoundaryData) -> BoundaryData:
     return BoundaryData(boundary.grid, Y)
 
 
-def _chart_box(chart_bdry: BoundaryData, margin: float = 0.5) -> np.ndarray:
-    return np.abs(chart_bdry.values).max(axis=0) + margin
+def _chart_box(chart_bdry: BoundaryData) -> np.ndarray:
+    return np.abs(chart_bdry.values).max(axis=0) + _CHART_MARGIN
 
 
 def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
@@ -306,18 +307,15 @@ def _interval_circle_pair(grid: Grid, boundary: BoundaryData,
 
 
 def solve_harmonic_pair(grid: Grid, boundary: BoundaryData,
-                        opts: SolveOptions | None = None,
-                        candidates: int = 256,
-                        pole: ChartPole | None = None
+                        opts: SolveOptions | None = None
                         ) -> tuple[SphereMapResult, SphereMapResult]:
     """Compute two weakly harmonic maps with the given Dirichlet data.
 
     Solves in the charts of a deterministically chosen antipodal pole pair.
     Interval domains with distinct non-antipodal endpoint values are reduced
     to the great circle through the endpoints, where the two charts
-    separate the minimizing and complementary geodesic (see module notes);
-    passing an explicit pole forces the plain two-chart solve.  For data
-    without winding the two results may legitimately coincide.
+    separate the minimizing and complementary geodesic (see module notes).
+    For data without winding the two results may legitimately coincide.
     """
     sphere_dim = boundary.ncomp - 1
     if grid.ndim > sphere_dim:
@@ -326,12 +324,10 @@ def solve_harmonic_pair(grid: Grid, boundary: BoundaryData,
             f"{sphere_dim}; a pole pair off the boundary range is not guaranteed",
             stacklevel=2,
         )
-    if pole is None:
-        reduced = _interval_circle_pair(grid, boundary, opts)
-        if reduced is not None:
-            return reduced
-        pole = choose_poles(boundary.values, candidates)
-    anti = pole.antipode()
+    reduced = _interval_circle_pair(grid, boundary, opts)
+    if reduced is not None:
+        return reduced
+    pole = choose_poles(boundary.values)
     first = solve_chart(grid, boundary, pole, opts)
-    second = solve_chart(grid, boundary, anti, opts)
+    second = solve_chart(grid, boundary, pole.antipode(), opts)
     return first, second

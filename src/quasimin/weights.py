@@ -118,25 +118,6 @@ def make_weight(spec: WeightSpec) -> Weight:
     return constant(spec.value)
 
 
-def eval_weight(w: Weight, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (f value incl. shift, f' = -U g, g) at U.
-
-    Accepts a single point (N,) or a batch (..., N).
-    """
-    U = np.asarray(U, dtype=float)
-    single = U.ndim == 1
-    if single:
-        U = U[None, :]
-    f_val = w.f_total(U)
-    g_val = w.g_value(U)
-    fp = -U * g_val[..., None]
-    if not (np.isfinite(f_val).all() and np.isfinite(g_val).all()):
-        raise ValueError(f"weight {w.label} evaluated to non-finite values")
-    if single:
-        return float(f_val[0]), fp[0], float(g_val[0])
-    return f_val, fp, g_val
-
-
 @dataclass(frozen=True)
 class WeightReport:
     min_g: float

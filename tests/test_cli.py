@@ -238,8 +238,8 @@ _MALFORMED_MESSAGES = {
     "truncated": "10 rows, expected 12",
     "header_only": "no rows, expected 12",
     "bad_header": "expected 'spacing:'",
-    "swapped_rows": "row 1: indices and class",
-    "bad_class": "row 4: indices and class",
+    "swapped_rows": "line 5: indices and class",
+    "bad_class": "line 8: indices and class",
 }
 
 
@@ -371,9 +371,15 @@ def _raise_convergence(*args, **kwargs):
         (ORACLE_SPEC, "oracle", _raise_convergence, "transform inversion did not converge"),
         (HALFSPACE_SPEC.replace("alpha = 1.0", "alpha = 1.0\nshift = 1000"),
          "halfspace", None, "initial energy is not finite"),
+        # e^{-2000 u^2} leaves whole regions of the disk with cell weights
+        # below float32 range, and the float32 K_w factor singular
+        (SOLVE_SPEC.replace("kind = box", "kind = masked_box\nmask = x1^2 + x2^2 <= 1")
+         .replace("extents = 0 1 ; 0 1", "extents = -1 1 ; -1 1")
+         .replace("alpha = 1.0", "alpha = 2000").replace("values = x1 * x2", "values = 0.9 * x1"),
+         "solve", None, "metric factorization failed"),
     ],
     ids=["density_underflow", "infinite_energy", "convergence_error",
-         "halfspace_infinite_energy"],
+         "halfspace_infinite_energy", "singular_metric"],
 )
 def test_numerical_failure_exits_2_with_summary(tmp_path, monkeypatch, capsys,
                                                 text, mode, patch, message):
@@ -386,6 +392,24 @@ def test_numerical_failure_exits_2_with_summary(tmp_path, monkeypatch, capsys,
     assert summary["converged"] == "false"
     assert message in summary["error"]
     assert "spec error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, line, message",
+    [("solver", "init = harmonic_extension", "unknown key [solver] 'init'"),
+     ("sphere", "candidates = 256", "unknown section [sphere]")],
+    ids=["solver_init", "sphere_section"],
+)
+def test_removed_keys_exit_3_on_their_line(tmp_path, capsys, section, line, message):
+    text = SPHERE_SPEC + f"\n[{section}]\n{line}\n"
+    code, out = run(tmp_path, "r.cfg", text, "sphere")
+    assert code == 3
+    # an unknown key is reported on its line, an unknown section on its header
+    lines = text.splitlines()
+    no = lines.index(line if section == "solver" else f"[{section}]") + 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"spec error: line {no}: {message}")
+    assert not (out / "summary.txt").exists()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from quasimin import (
     CoefficientTensor,
     DomainSpec,
     Field,
+    TransformTable,
     build_grid,
     constant,
     el_residual,
@@ -14,7 +15,6 @@ from quasimin import (
     energy,
     gaussian,
     grad_energy,
-    halfweight_table,
     sphere_chart,
 )
 from quasimin.energy import energy_raw, grad_raw
@@ -168,7 +168,7 @@ def test_residual_zero_on_constants_and_linears():
 def test_residual_refinement_on_transform_solution():
     # exact scalar solution sampled from the half-weight transform
     w = gaussian(1.0)
-    table = halfweight_table(w, 3.0)
+    table = TransformTable(w, 3.0)
     w1 = float(table.forward(np.array(1.0)))
     res = {}
     for n in (17, 33):
@@ -214,7 +214,7 @@ def test_symmetrization_delta_recorded():
         out[..., 0, 1, 0, 0] += 0.25  # asymmetric under (i,a) <-> (j,b)
         return out
 
-    A = CoefficientTensor(func=skewed, label="skewed")
+    A = CoefficientTensor(func=skewed)
     g = square(6)
     vals = random_field(g, 1, seed=1)
     ev = energy(g, Field(g, 1, vals), gaussian(1.0), A)

@@ -80,7 +80,7 @@ def test_constant_boundary_converges_immediately():
     g = square(9)
     bd = sample_boundary(g, lambda p: np.full(p.shape[0], 0.4))
     adm = AdmissibleSet(np.array([0.5]), bd)
-    opts = SolveOptions(init="boundary_constant")
+    opts = SolveOptions(init=Field(g, 1, np.full(g.dims + (1,), 0.4)))
     u, rep = minimize(g, gaussian(1.0), adm, opts=opts)
     assert rep.converged and rep.iterations <= 2
     assert rep.final_energy == 0.0
@@ -91,7 +91,8 @@ def test_constant_weight_recovers_harmonic_extension():
     g = square(33)
     bd = sample_boundary(g, lambda p: p[:, 0] * p[:, 1])
     adm = AdmissibleSet.from_boundary(bd)
-    opts = SolveOptions(init="boundary_constant", tol_pg=1e-10)
+    start = Field(g, 1, np.full(g.dims + (1,), bd.values.mean()))
+    opts = SolveOptions(init=start, tol_pg=1e-10)
     u, rep = minimize(g, constant(0.0), adm, opts=opts)
     assert rep.converged
     harm = poisson_dirichlet(g, None, bd)
@@ -252,8 +253,9 @@ def test_averaged_inverse_is_the_energy_hessian(grid):
     want = 2.0 * grid.cell_volume * r[inner]
     assert np.abs(g[inner] - want).max() <= 1e-12 * np.abs(want).max()
     form = float(np.sum(v[inner] * r[inner]))
-    metric = _Metric(grid, constant(0.0), None, 1)
-    metric.refresh(v)
+    metric = _Metric(grid, None, 1)
+    # f_base of a constant weight is 0 on every cell
+    metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)))
     assert abs(metric.form(v) - form) <= 1e-12 * abs(form)
 
 
@@ -315,12 +317,26 @@ def test_box_weight_underflowing_on_some_cells_converges():
     assert np.all(np.diff(rep.energy_history) <= 0.0)
 
 
+@pytest.mark.parametrize("n", [17, 33])
+def test_singular_metric_factor_is_a_floating_point_error(n):
+    # on a disk the same weight and data leave whole regions of cells with
+    # weights below float32 range: K_w is singular beyond its empty rows
+    g = build_grid(DomainSpec.masked_box([(-1, 1), (-1, 1)],
+                                         lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 <= 1.0),
+                   (n, n))
+    w = custom(lambda U: -2000.0 * np.sum(U * U, axis=-1),
+               lambda U: np.full(U.shape[:-1], 4000.0))
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: 0.9 * (p[:, 0] > 0)))
+    with pytest.raises(FloatingPointError, match="metric factorization failed"):
+        minimize(g, w, adm)
+
+
 @pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
 def test_constant_weight_box_metric_is_the_averaged_inverse(grid):
     # with a constant weight S is exactly 1 and the metric is the DST-I K^{-1}
     rng = np.random.default_rng(8)
-    metric = _Metric(grid, constant(0.0), None, 2)
-    metric.refresh(rng.standard_normal(grid.dims + (2,)))
+    metric = _Metric(grid, None, 2)
+    metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)))
     r = rng.standard_normal(grid.dims + (2,))
     assert np.array_equal(metric.solve(r), box_laplacian_inverse(grid, averaged=True)(r))
 
@@ -375,7 +391,7 @@ def test_components_share_a_factor_when_their_weights_agree():
         eye = np.einsum("ij,ab->ijab", np.eye(2), np.diag(1.0 + np.arange(ncomp)))
         return np.broadcast_to(eye, points.shape[:-1] + eye.shape).copy()
 
-    _, rep = minimize(g, gaussian(0.5), adm, A=CoefficientTensor(func=scaled, label="scaled"))
+    _, rep = minimize(g, gaussian(0.5), adm, A=CoefficientTensor(func=scaled))
     assert rep.converged and rep.factorizations == 2
 
 

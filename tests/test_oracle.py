@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +14,12 @@ from quasimin import (
     DomainSpec,
     Field,
     SourceField,
+    TransformTable,
     build_grid,
     constant,
     el_residual,
     gaussian,
     custom,
-    halfweight_table,
     poisson_dirichlet,
     sample_boundary,
     solve_scalar_exact,
@@ -35,20 +40,20 @@ def gauss_w1():
 
 
 def test_table_linear_for_constant_weight():
-    table = halfweight_table(constant(0.5), 2.0)
+    table = TransformTable(constant(0.5), 2.0)
     u = np.linspace(-2, 2, 17)
     assert np.allclose(table.forward(u), np.exp(0.25) * u, rtol=1e-13, atol=1e-14)
 
 
 def test_table_gaussian_matches_quadrature_oracle():
-    table = halfweight_table(gaussian(1.0), 3.0)
+    table = TransformTable(gaussian(1.0), 3.0)
     assert float(table.forward(np.array(1.0))) == pytest.approx(gauss_w1(), abs=1e-12)
 
 
 @given(st.floats(min_value=-2.5, max_value=2.5, allow_nan=False))
 @settings(max_examples=80, deadline=None)
 def test_table_round_trip(u):
-    table = halfweight_table(gaussian(1.0), 3.0)
+    table = TransformTable(gaussian(1.0), 3.0)
     back = float(table.inverse(table.forward(np.array(u))))
     assert abs(back - u) <= 1e-10
 
@@ -56,7 +61,7 @@ def test_table_round_trip(u):
 def test_table_overflow_rejected():
     grow = custom(f=lambda U: np.sum(U * U, axis=-1), g=lambda U: -2 * np.ones(U.shape[:-1]))
     with pytest.raises(OverflowError):
-        halfweight_table(grow, 60.0)
+        TransformTable(grow, 60.0)
 
 
 def test_poisson_exact_on_linears():
@@ -164,6 +169,32 @@ def test_masked_poisson_matvecs_are_mesh_independent(monkeypatch):
         poisson_dirichlet(g, None, bd)
         # one call builds the right-hand side, the rest are CG matvecs
         assert (len(calls) - 1) / bd.ncomp <= 40
+
+
+_DISK_POISSON_DIGEST = """
+import hashlib
+from quasimin import DomainSpec, build_grid, poisson_dirichlet, sample_boundary
+disk = DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda x: x[..., 0]**2 + x[..., 1]**2 <= 1.0)
+grid = build_grid(disk, (129, 129))
+bdry = sample_boundary(grid, lambda x: x[:, 0] * x[:, 1])
+print(hashlib.sha256(poisson_dirichlet(grid, None, bdry).values.tobytes()).hexdigest())
+"""
+
+
+def test_masked_poisson_bytes_do_not_depend_on_blas_threads():
+    # BLAS must be capped before numpy loads, so each count runs in its own
+    # process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _DISK_POISSON_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_exact_solver_builds_one_table_for_vector_data(monkeypatch):

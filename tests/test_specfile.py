@@ -213,7 +213,6 @@ diagonal = 1 ; 1 + x1^2
 [solver]
 tol_pg = 1e-9
 max_iters = 1234
-init = boundary_constant
 box_bound = 2.5
 """
     spec = parse_problem(text)
@@ -221,7 +220,6 @@ box_bound = 2.5
     assert spec.tensor is not None
     assert spec.solver.tol_pg == 1e-9
     assert spec.solver.max_iters == 1234
-    assert spec.solver.init == "boundary_constant"
     assert np.array_equal(spec.box_bound, [2.5])
 
 
@@ -230,14 +228,14 @@ def _diag_line(text, needle):
 
 
 def test_solver_diagnostic_names_the_failing_key_line():
-    text = MINIMAL + "\n[solver]\nmax_iters = 100\ninit = boundary_constant\ntol_pg = -1\n"
+    text = MINIMAL + "\n[solver]\nmax_iters = 100\nbox_bound = 2\ntol_pg = -1\n"
     with pytest.raises(SpecError) as err:
         parse_problem(text)
     (diag,) = err.value.diagnostics
     assert "tol_pg" in diag.message
     assert diag.line == _diag_line(text, "tol_pg = -1")
 
-    text = MINIMAL + "\n[solver]\ntol_pg = -1\ninit = boundary_constant\nmax_iters = 0\n"
+    text = MINIMAL + "\n[solver]\ntol_pg = -1\nbox_bound = 2\nmax_iters = 0\n"
     with pytest.raises(SpecError) as err:
         parse_problem(text)
     lines = sorted(d.line for d in err.value.diagnostics)
@@ -258,11 +256,10 @@ def test_removed_step_rule_keys_are_unknown():
         ("gradcheck", "gradcheck", "components = 0", "components must be >= 1"),
         ("gradcheck", "gradcheck", "step = tiny", "bad gradcheck step 'tiny'"),
         ("oracle", "source", "damping = 2", "damping must lie in (0, 1]"),
-        ("solve", "sphere", "candidates = 8", "need at least 16 pole candidates"),
         ("solve", "halfspace", "spacing = 0", "spacing must be positive"),
     ],
     ids=["damping", "components", "components_zero", "step", "damping_range",
-         "candidates_few", "spacing_zero"],
+         "spacing_zero"],
 )
 def test_numeric_keys_report_spec_errors(mode, section, line, message):
     text = MINIMAL.replace("mode = solve", f"mode = {mode}") + f"\n[{section}]\n{line}\n"

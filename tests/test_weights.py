@@ -7,7 +7,6 @@ from quasimin import (
     WeightSpec,
     constant,
     custom,
-    eval_weight,
     gaussian,
     make_weight,
     sphere_chart,
@@ -21,7 +20,8 @@ finite_coords = st.floats(
 
 def test_gaussian_closed_form():
     w = gaussian(1.0)
-    f, fp, g = eval_weight(w, np.array([1.0, 0.0]))
+    U = np.array([1.0, 0.0])
+    f, fp, g = w.f_total(U), w.fprime(U), w.g_value(U)
     assert f == -1.0
     assert np.allclose(fp, [-2.0, 0.0])
     assert g == 2.0
@@ -29,7 +29,8 @@ def test_gaussian_closed_form():
 
 def test_sphere_chart_closed_form():
     w = sphere_chart(2.0)
-    f, fp, g = eval_weight(w, np.array([1.0, 0.0]))
+    U = np.array([1.0, 0.0])
+    f, fp, g = w.f_total(U), w.fprime(U), w.g_value(U)
     assert f == pytest.approx(0.0, abs=1e-15)  # -2 log 1
     assert g == pytest.approx(2.0)
     assert np.allclose(fp, [-2.0, 0.0])
@@ -37,15 +38,15 @@ def test_sphere_chart_closed_form():
 
 def test_constant_weight():
     w = constant(0.0)
-    f, fp, g = eval_weight(w, np.array([3.0, -4.0]))
+    U = np.array([3.0, -4.0])
+    f, fp, g = w.f_total(U), w.fprime(U), w.g_value(U)
     assert f == 0.0 and g == 0.0
     assert np.all(fp == 0.0)
 
 
 def test_fprime_zero_at_origin():
     for w in (gaussian(2.0), sphere_chart(1.5), constant(1.0)):
-        _, fp, _ = eval_weight(w, np.zeros(3))
-        assert np.all(fp == 0.0)
+        assert np.all(w.fprime(np.zeros(3)) == 0.0)
 
 
 def test_make_weight_dispatch_and_errors():
@@ -69,7 +70,7 @@ def test_structural_identity_exact(coords, kind):
     # f'(U) + U g(U) = 0 holds exactly, by construction
     w = gaussian(0.7) if kind == "gaussian" else sphere_chart(2.0)
     U = np.array(coords)
-    _, fp, g = eval_weight(w, U)
+    fp, g = w.fprime(U), w.g_value(U)
     assert np.all(fp + U * g == 0.0)
 
 
@@ -79,8 +80,8 @@ def test_shift_changes_only_f(u, delta):
     w = gaussian(1.0)
     ws = w.shifted(delta)
     U = np.array([u])
-    f0, fp0, g0 = eval_weight(w, U)
-    f1, fp1, g1 = eval_weight(ws, U)
+    f0, fp0, g0 = w.f_total(U), w.fprime(U), w.g_value(U)
+    f1, fp1, g1 = ws.f_total(U), ws.fprime(U), ws.g_value(U)
     assert f1 == pytest.approx(f0 + delta, rel=0, abs=1e-12 * (1 + abs(f0) + abs(delta)))
     assert np.array_equal(fp0, fp1)
     assert g0 == g1
@@ -93,7 +94,7 @@ def test_named_gradients_at_many_points():
         (gaussian(1.3), lambda U: -2 * 1.3 * U),
         (sphere_chart(2.0), lambda U: -4 * U / (1 + np.sum(U * U, axis=-1))[:, None]),
     ):
-        _, fp, _ = eval_weight(w, U)
+        fp = w.fprime(U)
         ref = closed(U)
         scale = np.maximum(np.abs(ref), 1e-30)
         assert (np.abs(fp - ref) / scale).max() <= 1e-12
@@ -118,6 +119,6 @@ def test_custom_weight_uses_supplied_g():
         label="quartic",
     )
     U = np.array([0.5, -1.5])
-    _, fp, g = eval_weight(w, U)
+    fp, g = w.fprime(U), w.g_value(U)
     assert g == pytest.approx(2 * (0.25 + 2.25))
     assert np.array_equal(fp, -U * g)
