@@ -119,12 +119,12 @@ def _run_solve(spec, paths, writes):
     adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
     # the tensor at the cell midpoints, sampled once for the solve and the
     # energy report
-    A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor, adm.ncomp)
+    A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor)
     if A is not None:
         # el_residual evaluates the tensor at the nodes and face points too
         nodes, faces = residual_points(grid)
         for pts in (nodes, *faces.values()):
-            _from_spec("tensor evaluation", spec.tensor.eval, pts, adm.ncomp)
+            _from_spec("tensor evaluation", spec.tensor.eval, pts)
     U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
     ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
     res = el_residual(grid, U, spec.weight, A=spec.tensor)
@@ -132,7 +132,6 @@ def _run_solve(spec, paths, writes):
         "mode": "solve",
         "el_residual": float(np.abs(res.values).max()),
         "box_bound": " ".join(fieldio._fmt(c) for c in adm.box),
-        "symmetrization_delta": ev.symmetrization_delta,
     }
     for q in _Q_EXPONENTS:
         extra[f"qnorm_{q:g}"] = ev.q_norms[q]
@@ -247,8 +246,7 @@ def _run_gradcheck(spec, paths, seed, writes):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.0, 1.0, grid.dims + (ncomp,))
     vals[~grid.in_mask] = 0.0
-    A = sample_tensor(grid, spec.tensor, ncomp)
-    analytic = grad_raw(grid, vals, w, A)
+    analytic = grad_raw(grid, vals, w)
     step = spec.gradcheck_step * (1.0 + float(np.abs(vals).max()))
     fd = np.zeros_like(analytic)
     for idx in np.ndindex(*grid.dims):
@@ -260,8 +258,7 @@ def _run_gradcheck(spec, paths, seed, writes):
             dn = vals.copy()
             dn[idx + (a,)] -= step
             fd[idx + (a,)] = (
-                energy_raw(grid, up, w, A)[0]
-                - energy_raw(grid, dn, w, A)[0]
+                energy_raw(grid, up, w)[0] - energy_raw(grid, dn, w)[0]
             ) / (2.0 * step)
     denom = max(float(np.abs(analytic).max()), 1e-300)
     rel = float(np.abs(analytic - fd).max()) / denom

@@ -18,8 +18,9 @@ component sits on its box bound the descent steps along d = K_w^{-1} g /
 vol, with the BB1 length taken in the same metric, <s, vol K_w s> /
 <s, y>: a spectral projected gradient in H^1 (Birgin, Martinez and
 Raydan 2000), whose iteration count stays flat under refinement.  K_w =
-sum_i D_i^T diag(cell_in e^{f_base(ubar)} A_ii^{aa}) D_i of component a
-is the frozen-weight (Kacanov) linearization of -div(e^{f(U)} grad U),
+sum_i D_i^T diag(cell_in e^{f_base(ubar)} a_i) D_i, with a_i the
+coefficient tensor's entry along axis i, is the frozen-weight (Kacanov)
+linearization of -div(e^{f(U)} A grad U) for every component at once,
 rebuilt once f_base has moved by more than _REFACTOR_DF at some
 in-domain cell since the last build (_Metric).  On box grids the
 half-weight transform W' = e^{f/2} linearizes it to S K S, with K the
@@ -45,8 +46,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .energy import (CoefficientTensor, SampledTensor, cell_mask, cell_op, cell_op_adjoint,
-                     cell_stencils, energy_raw, grad_raw, sample_tensor, weighted_laplacian)
+from .energy import (CoefficientTensor, cell_mask, cell_op, cell_op_adjoint, cell_stencils,
+                     energy_raw, grad_raw, sample_tensor, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -59,6 +60,8 @@ _BACKTRACK = 0.5
 # the metric is rebuilt once f_base at some in-domain cell has moved this
 # far since the last build
 _REFACTOR_DF = 0.7
+# tol_pg = _TOL_FACTOR (1 + initial energy) unless the options set it
+_TOL_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,19 +96,22 @@ class AdmissibleSet:
 
 @dataclass
 class SolveOptions:
-    """Solver controls; tol_pg defaults to tol_factor * (1 + initial energy)."""
+    """Solver controls; tol_pg defaults to tol_factor * (1 + initial energy).
+
+    tol_factor None takes the caller's default: _TOL_FACTOR in minimize.
+    """
 
     tol_pg: float | None = None
     max_iters: int = 50000
     init: Field | None = None  # None starts from the harmonic extension
-    tol_factor: float = 1e-8
+    tol_factor: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol_pg is not None and self.tol_pg <= 0:
             raise ValueError("tol_pg must be positive")
-        if self.tol_factor <= 0:
+        if self.tol_factor is not None and self.tol_factor <= 0:
             raise ValueError("tol_factor must be positive")
 
 
@@ -199,22 +205,23 @@ def _factored_block(grid, weights):
 
 
 class _Metric:
-    """The frozen-weight operator K_w of every grid, in blocks of components.
+    """The frozen-weight operator K_w of every grid, one block for all components.
 
-    Components with equal cell weights c_i = cell_in e^{f_base(ubar)}
-    A_ii^{aa} share one block (T, c, inverse), whose BB form sum_i
-    sum_cells c |D_i (T s)|^2 is the exact form of the operator it
-    inverts: the scaled DST-I block on box grids, the LU block elsewhere.
-    The inverses hold no reference to the metric, so it makes no cycle.
+    Its cell weights c a_i, with c = cell_in e^{f_base(ubar)} and a_i the
+    tensor's coefficients at the cell midpoints, are the same for every
+    component.  The block (T, c, inverse) has the BB form sum_i sum_cells
+    c |D_i (T s)|^2, the exact form of the operator it inverts: the scaled
+    DST-I block on box grids, the LU block elsewhere.  The inverse holds
+    no reference to the metric, so it makes no cycle.
     """
 
-    def __init__(self, grid: Grid, A: SampledTensor | None, ncomp: int):
-        self.grid, self.A, self.ncomp = grid, A, ncomp
+    def __init__(self, grid: Grid, A: np.ndarray | None):
+        self.grid, self.A = grid, A
         self.mean, self.diffs = cell_stencils(grid)
         self.cell_in = cell_mask(grid)
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
         self.f_ref = None
-        self.blocks = []  # (cell weights, T, c, inverse, the components sharing it)
+        self.T, self.cs, self.inverse = 1.0, [], None
         self.factorizations = 0
 
     def refresh(self, fb: np.ndarray) -> None:
@@ -224,36 +231,24 @@ class _Metric:
             return
         self.f_ref = fb
         c = self.cell_in * np.exp(fb)
-        self.blocks = []
-        for a in range(self.ncomp):
-            if self.A is None:
-                weights = [c] * self.grid.ndim
-            else:
-                weights = [c * self.A.Asym[..., i, i, a, a] for i in range(self.grid.ndim)]
-            for seen, *_, comps in self.blocks:
-                if all(np.array_equal(x, y) for x, y in zip(seen, weights)):
-                    comps.append(a)
-                    break
-            else:
-                if self.lap_inv is None:
-                    block = _factored_block(self.grid, weights)
-                else:
-                    block = _scaled_block(self.lap_inv, self.mean, weights)
-                self.factorizations += 1
-                self.blocks.append((weights, *block, [a]))
+        if self.A is None:
+            weights = [c] * self.grid.ndim
+        else:
+            weights = [c * self.A[..., i] for i in range(self.grid.ndim)]
+        if self.lap_inv is None:
+            self.T, self.cs, self.inverse = _factored_block(self.grid, weights)
+        else:
+            self.T, self.cs, self.inverse = _scaled_block(self.lap_inv, self.mean, weights)
+        self.factorizations += 1
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """K_w^{-1} r on the interior nodes, zero elsewhere."""
-        out = np.zeros(r.shape)
-        for *_, inverse, comps in self.blocks:
-            out[..., comps] = inverse(r[..., comps])
-        return out
+        return self.inverse(r)
 
     def form(self, s: np.ndarray) -> float:
         """<s, K_w s> for s zero off the interior; 0 before the first build."""
-        return float(sum(np.sum(c * cell_op(T * s[..., comps], d) ** 2)
-                         for _, T, cs, _, comps in self.blocks
-                         for c, d in zip(cs, self.diffs)))
+        return float(sum(np.sum(c * cell_op(self.T * s, d) ** 2)
+                         for c, d in zip(self.cs, self.diffs)))
 
 
 def _initial_values(grid: Grid, adm: AdmissibleSet, init: Field | None) -> np.ndarray:
@@ -272,7 +267,7 @@ def _at_bound(values: np.ndarray, grid: Grid, adm: AdmissibleSet) -> np.ndarray:
 
 
 def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
-             A: CoefficientTensor | SampledTensor | None = None,
+             A: CoefficientTensor | np.ndarray | None = None,
              opts: SolveOptions | None = None) -> tuple[Field, SolveReport]:
     """Minimize the discrete energy over the admissible set.
 
@@ -282,19 +277,19 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
-    # the midpoints never move: sample and symmetrize the tensor once
-    A = sample_tensor(grid, A, adm.ncomp)
-    metric = _Metric(grid, A, adm.ncomp)
+    # the midpoints never move: sample the tensor once
+    A = sample_tensor(grid, A)
+    metric = _Metric(grid, A)
 
     U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
-    E, _, _, grad, fb = energy_raw(grid, U, w, A)
+    E, _, grad, fb = energy_raw(grid, U, w, A)
     evals = 1
     if not np.isfinite(E):
         raise FloatingPointError("initial energy is not finite")
     g = grad()
     pg = _projected_gradient(U, g, grid, adm)
     pgn = float(np.abs(pg).max())
-    tol = opts.tol_pg if opts.tol_pg is not None else opts.tol_factor * (1.0 + E)
+    tol = opts.tol_pg if opts.tol_pg is not None else (opts.tol_factor or _TOL_FACTOR) * (1.0 + E)
 
     energies = [E]
     pgs = [pgn]
@@ -328,7 +323,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             U_new = _project_values(U - tau * d, grid, adm)
             step = U_new - U
             dd = float(np.sum(g * step))
-            E_new, _, _, grad, fb_new = energy_raw(grid, U_new, w, A)
+            E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
             evals += 1
             # a clipped preconditioned step may point uphill (dd > 0);
             # it must still not raise the energy
@@ -342,7 +337,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             ls_failures += 1
             tau = _STEP_MIN
             U_new = _project_values(U - tau * d, grid, adm)
-            E_new, _, _, grad, fb_new = energy_raw(grid, U_new, w, A)
+            E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
             evals += 1
             if not (np.isfinite(E_new) and E_new <= E):
                 stall = "line search stalled at the minimum step"

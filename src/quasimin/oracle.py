@@ -62,6 +62,9 @@ class SourceField:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # odd, so that 0 is a table node and W(0) = 0 exactly
 _TABLE_NODES = 2049
+# the stopping rule of solve_scalar_source
+_PICARD_TOL = 1e-10
+_PICARD_MAX_ITERS = 500
 
 
 def _gl_integrate(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,10 +164,10 @@ class TransformTable:
         return BoundaryData(boundary.grid, self.forward(boundary.values[:, 0]))
 
 
-def default_table_range(boundary: BoundaryData, box_sup: float | None = None) -> float:
+def default_table_range(boundary: BoundaryData) -> float:
+    """2 (1 + max|phi| + C), with the box bound C = max|phi| of the data."""
     phi_max = float(np.abs(boundary.values).max()) if boundary.values.size else 0.0
-    c_sup = phi_max if box_sup is None else float(box_sup)
-    return 2.0 * (1.0 + phi_max + c_sup)
+    return 2.0 * (1.0 + phi_max + phi_max)
 
 
 def _neighbor_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -343,13 +346,14 @@ def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData,
 
 def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
                         h: SourceField, damping: float = 1.0,
-                        tol: float = 1e-10, max_iters: int = 500,
                         range_m: float | None = None) -> tuple[Field, int]:
     """Damped Picard iteration for the inhomogeneous scalar problem.
 
     Iterates v_{k+1} = (1-theta) v_k + theta * solve(-Delta v = e^{f(u_k)/2} h)
     with u_k = W^{-1}(v_k), starting from the harmonic extension of W(phi).
-    The damping is halved whenever the step residual grows.
+    The damping is halved whenever the step residual grows.  The iteration
+    stops once a step moves v by at most _PICARD_TOL and fails after
+    _PICARD_MAX_ITERS steps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -362,7 +366,7 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
 
     theta = damping
     prev_resid = np.inf
-    for k in range(1, max_iters + 1):
+    for k in range(1, _PICARD_MAX_ITERS + 1):
         u = table.inverse(np.where(grid.in_mask, v, 0.0))
         scale = np.exp(0.5 * f.f_total(u[..., None]))
         rhs = SourceField(grid, scale * h.values)
@@ -370,7 +374,7 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
         v_next = (1.0 - theta) * v + theta * v_raw
         resid = float(np.abs((v_next - v)[grid.in_mask]).max())
         v = v_next
-        if resid <= tol:
+        if resid <= _PICARD_TOL:
             u = table.inverse(np.where(grid.in_mask, v, 0.0))
             u = np.where(grid.in_mask, u, 0.0)
             return Field(grid, 1, u[..., None]), k
@@ -378,6 +382,6 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
             theta *= 0.5
         prev_resid = resid
     raise ConvergenceError(
-        f"Picard iteration did not contract within {max_iters} steps",
+        f"Picard iteration did not contract within {_PICARD_MAX_ITERS} steps",
         residual=prev_resid,
     )

@@ -166,6 +166,10 @@ _REFUSED = {
                              "a coefficient tensor applies to solve mode only"),
     ("source", "values"): (("solve", "sphere", "halfspace", "gradcheck"),
                            "a source term applies to oracle mode only"),
+    ("solver", None): (("oracle", "gradcheck"),
+                       "oracle and gradcheck modes run no descent; drop [solver]"),
+    ("solver", "box_bound"): (("sphere",),
+                              "sphere mode sizes each chart's box from its data; drop box_bound"),
 }
 
 # Keys each domain kind is built from, besides the resolution.

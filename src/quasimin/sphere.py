@@ -36,13 +36,18 @@ _MARGIN_MIN = 1e-3
 _POLE_CANDIDATES = 256
 # added to the chart data's componentwise max |Y| to make a chart's box
 _CHART_MARGIN = 0.5
+# the conformal factor inflates the attainable projected-gradient floor
+# relative to flat problems, so chart solves default to a looser tol_factor
+_CHART_TOL_FACTOR = 1e-7
+# the largest | |x| - 1 | accepted of a sphere point
+_UNIT_TOL = 1e-8
 
 
-def as_unit_points(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def as_unit_points(values: np.ndarray) -> np.ndarray:
     """Validate and exactly renormalize an array of sphere points."""
     values = np.asarray(values, dtype=float)
     norms = np.linalg.norm(values, axis=-1)
-    if values.size and np.abs(norms - 1.0).max() > tol:
+    if values.size and np.abs(norms - 1.0).max() > _UNIT_TOL:
         raise ValueError("points are not unit vectors")
     return values / norms[..., None]
 
@@ -218,15 +223,14 @@ def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
                 opts: SolveOptions | None = None) -> SphereMapResult:
     """Minimize the sphere_chart(2) energy in one chart and map back.
 
-    Unless the caller pins tol_pg, chart solves use a tolerance scale of
-    1e-7: the conformal factor inflates the attainable projected-gradient
-    floor relative to flat problems.
+    Unless the options set tol_pg or tol_factor, the tolerance scale is
+    _CHART_TOL_FACTOR.
     """
     chart_bdry = _chart_boundary(pole, boundary)
     adm = AdmissibleSet(_chart_box(chart_bdry), chart_bdry)
     opts = opts or SolveOptions()
-    if opts.tol_pg is None and opts.tol_factor == SolveOptions().tol_factor:
-        opts = dataclasses.replace(opts, tol_factor=1e-7)
+    if opts.tol_factor is None:
+        opts = dataclasses.replace(opts, tol_factor=_CHART_TOL_FACTOR)
     w = sphere_chart(2.0)
     U, report = minimize(grid, w, adm, opts=opts)
 

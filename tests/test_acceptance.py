@@ -264,9 +264,9 @@ def test_criterion_07_weight_shift_invariance(runs):
 
 def test_criterion_08_ellipticity_estimator():
     pts = np.array([[0.25, 0.5], [0.75, 0.25], [0.5, 0.75]])
-    lo_i, hi_i = ellipticity_bounds(CoefficientTensor.identity(), pts, 128, ncomp=2)
+    lo_i, hi_i = ellipticity_bounds(CoefficientTensor.identity(), pts)
     mixed = CoefficientTensor.diagonal([1.0, 3.0])
-    lo_m, hi_m = ellipticity_bounds(mixed, pts, 128, ncomp=2)
+    lo_m, hi_m = ellipticity_bounds(mixed, pts)
     ok = (
         abs(lo_i - 1.0) <= 1e-12
         and abs(hi_i - 1.0) <= 1e-12

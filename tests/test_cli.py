@@ -422,16 +422,43 @@ def test_removed_keys_exit_3_on_their_line(tmp_path, capsys, section, line, mess
         # el_residual evaluates it
         (SOLVE_SPEC + "\n[tensor]\ndiagonal = 1 ; 1 + 1/(x1 - 0.5)^2\n", "solve",
          "tensor evaluation"),
+        (SOLVE_SPEC + "\n[tensor]\ndiagonal = -1 ; 1\n", "solve",
+         "tensor evaluation: coefficient tensor is not elliptic"),
+        (SOLVE_SPEC + "\n[tensor]\ndiagonal = 0 ; 1\n", "solve",
+         "tensor evaluation: coefficient tensor is not elliptic"),
         (HALFSPACE_SPEC.replace("window = 0 0.5 ; 0 0.5", "window = 0 2 ; 0 2"),
          "halfspace", "half-ball"),
         (SOLVE_SPEC.replace("values = x1 * x2", "values = " + " + ".join(["x1"] * 1000)),
          "solve", "bad boundary expression"),
     ],
-    ids=["grid", "box_bound", "tensor", "tensor_nodes", "halfspace_window",
-         "nested_boundary"],
+    ids=["grid", "box_bound", "tensor", "tensor_nodes", "tensor_negative", "tensor_zero",
+         "halfspace_window", "nested_boundary"],
 )
 def test_failures_from_the_spec_exit_3(tmp_path, capsys, text, mode, message):
     code, out = run(tmp_path, "s.cfg", text, mode)
     assert code == 3
     assert message in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "text, mode, line, message",
+    [
+        (ORACLE_SPEC + "\n[solver]\nmax_iters = 1\nbox_bound = 0.01\n", "oracle", "[solver]",
+         "oracle and gradcheck modes run no descent; drop [solver]"),
+        (GRADCHECK_SPEC + "\n[solver]\ntol_pg = 1e-9\n", "gradcheck", "[solver]",
+         "oracle and gradcheck modes run no descent; drop [solver]"),
+        # the chart solves still take max_iters
+        (SPHERE_SPEC + "\n[solver]\nmax_iters = 500\nbox_bound = 0.001\n", "sphere",
+         "box_bound = 0.001",
+         "sphere mode sizes each chart's box from its data; drop box_bound"),
+    ],
+    ids=["oracle", "gradcheck", "sphere_box_bound"],
+)
+def test_refused_solver_keys_exit_3_on_their_line(tmp_path, capsys, text, mode, line, message):
+    code, out = run(tmp_path, "r.cfg", text, mode)
+    assert code == 3
+    no = text.splitlines().index(line) + 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"spec error: line {no}: {message}"
     assert not (out / "summary.txt").exists()

@@ -206,32 +206,31 @@ def test_anisotropic_identity_matches_isotropic_bitwise():
     assert np.array_equal(grad_raw(g, vals, w, None), grad_raw(g, vals, w, A))
 
 
-def test_symmetrization_delta_recorded():
-    def skewed(points, ncomp):
-        n = points.shape[-1]
-        base = np.einsum("ij,ab->ijab", np.eye(n), np.eye(ncomp))
-        out = np.broadcast_to(base, points.shape[:-1] + base.shape).copy()
-        out[..., 0, 1, 0, 0] += 0.25  # asymmetric under (i,a) <-> (j,b)
-        return out
-
-    A = CoefficientTensor(func=skewed)
-    g = square(6)
-    vals = random_field(g, 1, seed=1)
-    ev = energy(g, Field(g, 1, vals), gaussian(1.0), A)
-    assert ev.symmetrization_delta == pytest.approx(0.125, abs=1e-14)
+def test_unit_tensor_residual_is_the_isotropic_residual_on_the_disk():
+    # one residual path: a_i = 1 multiplies exactly, and no node next to the
+    # staircase is masked out
+    dom = DomainSpec.masked_box(
+        [(-1, 1), (-1, 1)], lambda p: np.sum(p * p, axis=-1) <= 1.0 + 1e-12
+    )
+    g = build_grid(dom, (17, 17))
+    U = Field(g, 2, random_field(g, 2, seed=4))
+    iso = el_residual(g, U, gaussian(1.0)).values
+    unit = el_residual(g, U, gaussian(1.0), CoefficientTensor.diagonal([1.0, 1.0])).values
+    assert np.array_equal(iso, unit)
+    assert (np.abs(unit).max(axis=-1) > 0.0)[g.interior_mask].all()
 
 
 def test_ellipticity_bounds():
     pts = np.array([[0.5, 0.5], [0.25, 0.75]])
-    lo, hi = ellipticity_bounds(CoefficientTensor.identity(), pts, 64, ncomp=2)
+    lo, hi = ellipticity_bounds(CoefficientTensor.identity(), pts)
     assert abs(lo - 1.0) <= 1e-12 and abs(hi - 1.0) <= 1e-12
 
     two = CoefficientTensor.diagonal([2.0, 2.0])
-    lo, hi = ellipticity_bounds(two, pts, 64, ncomp=1)
+    lo, hi = ellipticity_bounds(two, pts)
     assert lo == pytest.approx(2.0, abs=1e-12)
     assert hi == pytest.approx(2.0, abs=1e-12)
 
     mixed = CoefficientTensor.diagonal([1.0, 3.0])
-    lo, hi = ellipticity_bounds(mixed, pts, 64, ncomp=2)
+    lo, hi = ellipticity_bounds(mixed, pts)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(3.0, abs=1e-12)

@@ -253,7 +253,7 @@ def test_averaged_inverse_is_the_energy_hessian(grid):
     want = 2.0 * grid.cell_volume * r[inner]
     assert np.abs(g[inner] - want).max() <= 1e-12 * np.abs(want).max()
     form = float(np.sum(v[inner] * r[inner]))
-    metric = _Metric(grid, None, 1)
+    metric = _Metric(grid, None)
     # f_base of a constant weight is 0 on every cell
     metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)))
     assert abs(metric.form(v) - form) <= 1e-12 * abs(form)
@@ -305,6 +305,17 @@ def test_iteration_count_is_mesh_independent_on_tensor_boxes(axis):
     assert max(iters) <= 20 and max(iters) <= 1.3 * min(iters), iters
 
 
+@pytest.mark.parametrize(
+    "entries", [[-1.0, 1.0], [0.0, 1.0], [1.0, lambda p: p[..., 0] - 0.5]],
+    ids=["negative", "zero", "negative_half"],
+)
+def test_non_elliptic_tensor_raises(entries):
+    g = square(17)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
+    with pytest.raises(ValueError, match="not elliptic"):
+        minimize(g, gaussian(1.0), adm, A=CoefficientTensor.diagonal(entries))
+
+
 def test_box_weight_underflowing_on_some_cells_converges():
     # e^{-2000 u^2} is 0.0 in float64 on the cells where u is near 0.9:
     # there S = 1, as K_w's unit diagonal on an empty row
@@ -335,7 +346,7 @@ def test_singular_metric_factor_is_a_floating_point_error(n):
 def test_constant_weight_box_metric_is_the_averaged_inverse(grid):
     # with a constant weight S is exactly 1 and the metric is the DST-I K^{-1}
     rng = np.random.default_rng(8)
-    metric = _Metric(grid, None, 2)
+    metric = _Metric(grid, None)
     metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)))
     r = rng.standard_normal(grid.dims + (2,))
     assert np.array_equal(metric.solve(r), box_laplacian_inverse(grid, averaged=True)(r))
@@ -385,14 +396,6 @@ def test_components_share_a_factor_when_their_weights_agree():
         g, lambda p: np.stack([p[:, 0] * p[:, 1], 0.5 * p[:, 0]], axis=1)))
     _, rep = minimize(g, gaussian(0.5), adm)
     assert rep.converged and rep.factorizations == 1
-
-    def scaled(points, ncomp):
-        # A_ii^{aa} = 1 + a: the components need different factors
-        eye = np.einsum("ij,ab->ijab", np.eye(2), np.diag(1.0 + np.arange(ncomp)))
-        return np.broadcast_to(eye, points.shape[:-1] + eye.shape).copy()
-
-    _, rep = minimize(g, gaussian(0.5), adm, A=CoefficientTensor(func=scaled))
-    assert rep.converged and rep.factorizations == 2
 
 
 def test_interior_node_on_no_domain_cell_keeps_the_factor_regular():

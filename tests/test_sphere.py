@@ -7,6 +7,7 @@ from quasimin import (
     BoundaryData,
     DomainSpec,
     Field,
+    SolveOptions,
     build_grid,
     choose_poles,
     energy,
@@ -201,6 +202,15 @@ def test_chart_round_trip_consistency():
     res = solve_chart(g, bd, pole)
     re_chart = stereo_project(pole, res.mapped.values)
     assert np.abs(re_chart - res.chart.values).max() <= 1e-10
+
+
+def test_chart_solve_honours_an_explicit_tolerance_factor():
+    g = interval(41)
+    bd = geodesic_boundary(g)
+    pole = make_pole(np.array([0.0, 0.0, 1.0]))
+    for factor, want in ((None, 1e-7), (1e-8, 1e-8), (1e-9, 1e-9)):
+        rep = solve_chart(g, bd, pole, SolveOptions(tol_factor=factor)).report
+        assert rep.tol_pg / (1.0 + rep.energy_history[0]) == pytest.approx(want, rel=1e-12)
 
 
 def test_antipodal_symmetry_with_explicit_poles():
