@@ -38,8 +38,7 @@ _apply_thread_env()
 import numpy as np
 
 from . import fieldio
-from .energy import (el_residual, energy, energy_raw, grad_raw, residual_points,
-                     sample_tensor)
+from .energy import el_residual, energy, energy_raw, grad_raw, sample_tensor
 from .grids import BoundaryData, build_grid, sample_boundary
 from .optim import AdmissibleSet, minimize
 from .oracle import ConvergenceError, SourceField, solve_scalar_exact, solve_scalar_source
@@ -117,17 +116,11 @@ def _solve_summary(report, extra):
 def _run_solve(spec, paths, writes):
     grid, bdry = _grid_and_boundary(spec)
     adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
-    # the tensor at the cell midpoints, sampled once for the solve and the
-    # energy report
+    # sampled and checked once, wherever the solve and both reports read it
     A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor)
-    if A is not None:
-        # el_residual evaluates the tensor at the nodes and face points too
-        nodes, faces = residual_points(grid)
-        for pts in (nodes, *faces.values()):
-            _from_spec("tensor evaluation", spec.tensor.eval, pts)
     U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
     ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
-    res = el_residual(grid, U, spec.weight, A=spec.tensor)
+    res = el_residual(grid, U, spec.weight, A=A)
     extra = {
         "mode": "solve",
         "el_residual": float(np.abs(res.values).max()),

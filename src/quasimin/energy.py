@@ -5,8 +5,9 @@ quadrature: per lattice cell, the gradient DU is formed by the cell-averaged
 differences D_i (difference along axis i, average along the others), the
 weight e^{f} is evaluated at the cell average of U, and the contribution is
 e^{f} * Q(DU) * cell volume where Q is either |DU|^2 or sum_i a_i |D_i U|^2
-for the per-axis coefficients a_i(x) of a CoefficientTensor, sampled at
-the cell midpoint and the same for every component.  D_i and the
+for the per-axis coefficients a_i(x) of a CoefficientTensor, the same for
+every component and read at the cell midpoint from the one evaluation of
+sample_tensor (see there for every point it covers).  D_i and the
 average are tensor products of 1D two-point stencils (cell_op), and the
 gradient applies their exact transposes (cell_op_adjoint).  The assembly is
 a fixed-order sum over cells, so results are bit-reproducible.  grad_energy
@@ -81,16 +82,49 @@ class CoefficientTensor:
         return out
 
 
-def sample_tensor(grid: Grid, A) -> np.ndarray | None:
-    """The coefficients at the cell midpoints, cells + (n,); None for |DU|^2.
+def half_index(ndim: int, odd_axes=()) -> tuple[slice, ...]:
+    """The half-step points odd along odd_axes and even along the others.
 
-    A may be None, a CoefficientTensor, or coefficients sampled already.
+    No odd axis gives the nodes, every axis the cell midpoints, and axis i
+    alone the faces between nodes that are neighbours along axis i.
+    """
+    return tuple(slice(1 if ax in odd_axes else 0, None, 2) for ax in range(ndim))
+
+
+def _successors(ax: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Indices of every node that has a successor along axis ax, and of that successor."""
+    head = (slice(None),) * ax
+    return head + (slice(None, -1),), head + (slice(1, None),)
+
+
+def sample_tensor(grid: Grid, A) -> np.ndarray | None:
+    """The coefficients on the half-step lattice, (2 dims - 1) + (n,); None for |DU|^2.
+
+    Point k of the lattice is origin + (h/2) k (see half_index).  A is
+    evaluated in one call, at the points that some formula reads: the
+    midpoints of the in-domain cells (energy and metric), the interior
+    nodes, and the faces between an interior node and an axis neighbour
+    (el_residual).  Every other point holds 1.0, so A need only be
+    defined and elliptic on the domain.  A may be None, a
+    CoefficientTensor, or coefficients sampled already.
     """
     if A is None or isinstance(A, np.ndarray):
         return A
     if A.entries is None:
         return None
-    return A.eval(_cell_midpoints(grid))
+    n, inner = grid.ndim, grid.interior_mask
+    read = np.zeros(tuple(2 * d - 1 for d in grid.dims), dtype=bool)
+    read[half_index(n, range(n))] = cell_mask(grid)
+    read[half_index(n)] = inner
+    for ax in range(n):
+        lo, hi = _successors(ax)
+        # a face is read when either node it joins is interior
+        read[half_index(n, (ax,))] = inner[lo] | inner[hi]
+    at = np.nonzero(read)
+    points = np.stack([o + 0.5 * h * k for o, h, k in zip(grid.origin, grid.spacing, at)], axis=-1)
+    out = np.ones(read.shape + (n,))
+    out[at] = A.eval(points)
+    return out
 
 
 @dataclass
@@ -110,8 +144,8 @@ def cell_op(x: np.ndarray, coefs) -> np.ndarray:
     1/2) averages, (-1/h, 1/h) differences.  Trailing axes pass through.
     """
     for ax, (lo, hi) in enumerate(coefs):
-        head = (slice(None),) * ax
-        x = lo * x[head + (slice(None, -1),)] + hi * x[head + (slice(1, None),)]
+        first, second = _successors(ax)
+        x = lo * x[first] + hi * x[second]
     return x
 
 
@@ -122,9 +156,9 @@ def cell_op_adjoint(y: np.ndarray, coefs) -> np.ndarray:
         shape = list(y.shape)
         shape[ax] += 1
         out = np.zeros(shape)
-        head = (slice(None),) * ax
-        out[head + (slice(None, -1),)] = lo * y
-        out[head + (slice(1, None),)] += hi * y
+        first, second = _successors(ax)
+        out[first] = lo * y
+        out[second] += hi * y
         y = out
     return y
 
@@ -189,7 +223,8 @@ def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
 def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None):
     """Shared per-cell quantities for energy and gradient assembly.
 
-    A is None or the coefficients a_i at the cell midpoints.  Returns
+    A is None or the coefficients a_i sampled by sample_tensor; the kernel
+    reads them at the cell midpoints.  Returns
     (f_base per cell, weight e^{f_base} per cell, quadratic form per cell,
     A-weighted gradient G with dQ/dDU = 2G, cell mask, cell average of U).
     """
@@ -201,18 +236,9 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None
     fcell = w.f_base(ubar)
     wcell = np.exp(fcell)
 
-    G = D if A is None else A[..., None] * D
+    G = D if A is None else A[half_index(grid.ndim, range(grid.ndim))][..., None] * D
     Q = np.sum(D * G, axis=(-2, -1))
     return fcell, wcell, Q, G, cell_in, ubar
-
-
-def _cell_midpoints(grid: Grid) -> np.ndarray:
-    axes = [
-        grid.origin[k] + grid.spacing[k] * (np.arange(grid.dims[k] - 1) + 0.5)
-        for k in range(grid.ndim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
 
 
 def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
@@ -277,59 +303,41 @@ def grad_energy(grid: Grid, U: Field, w: Weight,
     return Field(grid, U.ncomp, grad_raw(grid, U.values, w, A))
 
 
-def residual_points(grid: Grid) -> tuple[np.ndarray, dict]:
-    """The points at which el_residual evaluates a coefficient tensor.
-
-    Returns the lattice nodes and, keyed by (axis, sign), the face points
-    x + sign h_axis e_axis / 2 of every node, in and out of the domain.
-    """
-    pts = grid.points()
-    faces = {}
-    for ax in range(grid.ndim):
-        for sgn in (+1, -1):
-            face = pts.copy()
-            face[..., ax] += sgn * 0.5 * grid.spacing[ax]
-            faces[ax, sgn] = face
-    return pts, faces
-
-
 def el_residual(grid: Grid, U: Field, w: Weight,
-                A: CoefficientTensor | None = None) -> Field:
+                A: CoefficientTensor | np.ndarray | None = None) -> Field:
     """Strong-form residual at interior nodes using central stencils.
 
     For coefficients a_i the system reads
 
         -e^{-f} sum_i d_i(e^f a_i d_i U) + (1/2) f'(U) sum_i a_i |d_i U|^2 = 0.
 
-    Flux differencing uses e^{f} a_i at the face midpoints x +- h_i e_i / 2
-    (the weight of the averaged nodal values); |d_i U|^2 uses central
-    differences and a_i at the node.  The additive shift of the weight
-    cancels between e^{-f} and e^{f} and is omitted.  With A None or the
-    identity nothing is multiplied by a coefficient.
+    Flux differencing uses e^{f} a_i on the faces x +- h_i e_i / 2 between
+    axis neighbours (the weight of the averaged nodal values); |d_i U|^2
+    uses central differences and a_i at the node.  A is read there, on
+    the half-step lattice of sample_tensor.  The additive shift of the
+    weight cancels between e^{-f} and e^{f} and is omitted.  With A None
+    or the identity nothing is multiplied by a coefficient.
     """
     vals = U.values
     h = grid.spacing
-    a_node = faces = None
-    if A is not None and A.entries is not None:
-        pts, faces = residual_points(grid)
-        a_node = A.eval(pts)
+    A = sample_tensor(grid, A)
 
     f_node = w.f_base(vals)
     grad_c = np.zeros(grid.dims + (grid.ndim, U.ncomp))
     div = np.zeros_like(vals)
     for ax in range(grid.ndim):
-        up = shifted(vals, ax, +1)
-        dn = shifted(vals, ax, -1)
-        grad_c[..., ax, :] = (up - dn) / (2 * h[ax])
-        w_up = np.exp(w.f_base(0.5 * (vals + up)))
-        w_dn = np.exp(w.f_base(0.5 * (vals + dn)))
-        if faces is not None:
-            w_up = w_up * A.eval(faces[ax, +1])[..., ax]
-            w_dn = w_dn * A.eval(faces[ax, -1])[..., ax]
-        div += (w_up[..., None] * (up - vals) - w_dn[..., None] * (vals - dn)) / h[ax] ** 2
+        lo, hi = _successors(ax)
+        grad_c[..., ax, :] = (shifted(vals, ax, +1) - shifted(vals, ax, -1)) / (2 * h[ax])
+        # the flux e^f a_ax d_ax U through each face between axis neighbours
+        flux = np.exp(w.f_base(0.5 * (vals[lo] + vals[hi])))
+        if A is not None:
+            flux = flux * A[half_index(grid.ndim, (ax,))][..., ax]
+        flux = flux[..., None] * (vals[hi] - vals[lo])
+        # div[lo][hi], a view of div, holds the nodes with both faces
+        div[lo][hi] += (flux[hi] - flux[lo]) / h[ax] ** 2
     sq = grad_c * grad_c
-    if a_node is not None:
-        sq = a_node[..., None] * sq
+    if A is not None:
+        sq = A[half_index(grid.ndim)][..., None] * sq
     grad_sq = np.sum(sq, axis=(-2, -1))
     res = -np.exp(-f_node)[..., None] * div + 0.5 * w.fprime(vals) * grad_sq[..., None]
     res[~grid.interior_mask] = 0.0

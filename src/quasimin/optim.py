@@ -30,7 +30,8 @@ oracle.box_laplacian_inverse (the Sobolev gradient of Neuberger, with
 the weight).  On masked and half-ball grids K_w is assembled sparse and
 factored by LU.  While a bound is active the descent takes plain
 projected BB steps along g; each step kind keeps its own BB length.  A
-coefficient tensor is sampled at the cell midpoints once per solve.
+coefficient tensor is sampled once per solve (energy.sample_tensor), and
+the energy and the metric read it at the cell midpoints.
 
 No claim of global minimality is made; the energy is nonconvex and
 different initializations may reach different stationary points (which is
@@ -47,7 +48,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .energy import (CoefficientTensor, cell_mask, cell_op, cell_op_adjoint, cell_stencils,
-                     energy_raw, grad_raw, sample_tensor, weighted_laplacian)
+                     energy_raw, grad_raw, half_index, sample_tensor, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -216,7 +217,8 @@ class _Metric:
     """
 
     def __init__(self, grid: Grid, A: np.ndarray | None):
-        self.grid, self.A = grid, A
+        self.grid = grid
+        self.A = None if A is None else A[half_index(grid.ndim, range(grid.ndim))]
         self.mean, self.diffs = cell_stencils(grid)
         self.cell_in = cell_mask(grid)
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
@@ -277,7 +279,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
-    # the midpoints never move: sample the tensor once
+    # the sample points never move: sample the tensor once
     A = sample_tensor(grid, A)
     metric = _Metric(grid, A)
 
@@ -395,7 +397,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
 
 
 def kkt_residual(grid: Grid, U: Field, w: Weight, adm: AdmissibleSet,
-                 A: CoefficientTensor | None = None) -> float:
+                 A: CoefficientTensor | np.ndarray | None = None) -> float:
     """Sup norm of the projected gradient at an admissible field.
 
     Zero characterizes discrete stationarity over the admissible set; with

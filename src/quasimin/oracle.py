@@ -42,10 +42,6 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class TableRangeError(ValueError):
-    """An argument of the transform table lies outside its range."""
-
-
 @dataclass
 class SourceField:
     """Per-node scalar source term h(x)."""
@@ -122,7 +118,7 @@ class TransformTable:
         """W(u); u must lie in [-M, M]."""
         u = np.asarray(u, dtype=float)
         if u.size and (u.min() < -self.range_m or u.max() > self.range_m):
-            raise TableRangeError("argument leaves the transform table range")
+            raise ValueError("argument leaves the transform table range")
         step = self.table_u[1] - self.table_u[0]
         k = np.clip(
             np.floor((u - self.table_u[0]) / step).astype(int), 0, self.table_u.size - 2
@@ -135,7 +131,7 @@ class TransformTable:
         w = np.asarray(w, dtype=float)
         scale = 1.0 + np.abs(w)
         if w.size and (w.min() < self.w_min - 1e-12 or w.max() > self.w_max + 1e-12):
-            raise TableRangeError("value leaves the transform table range")
+            raise ValueError("value leaves the transform table range")
         wc = np.clip(w, self.w_min, self.w_max)
         k = np.clip(np.searchsorted(self.table_w, wc) - 1, 0, self.table_w.size - 2)
         lo = self.table_u[k]
@@ -319,34 +315,20 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
     return Field(grid, boundary.ncomp, bfield)
 
 
-def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData,
-                       range_m: float | None = None) -> Field:
+def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData) -> Field:
     """Exact scalar solve via the half-weight transform.
 
     Computes the discrete harmonic extension of W(phi) and maps it back
-    nodewise through the inverse transform.  If the table range is exceeded
-    it is doubled once before failing; any other error raises at once.
+    nodewise through the inverse transform.
     """
-    if range_m is None:
-        range_m = default_table_range(boundary)
-    table = TransformTable(f, range_m)
-    for attempt in (0, 1):
-        try:
-            wb = table.boundary_values(boundary)
-            wfield = poisson_dirichlet(grid, None, wb)
-            u = table.inverse(wfield.values[..., 0])
-            break
-        except TableRangeError:
-            if attempt == 1:
-                raise
-            table = TransformTable(f, 2.0 * range_m)
-    u = np.where(grid.in_mask, u, 0.0)
+    table = TransformTable(f, default_table_range(boundary))
+    wfield = poisson_dirichlet(grid, None, table.boundary_values(boundary))
+    u = np.where(grid.in_mask, table.inverse(wfield.values[..., 0]), 0.0)
     return Field(grid, 1, u[..., None])
 
 
 def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
-                        h: SourceField, damping: float = 1.0,
-                        range_m: float | None = None) -> tuple[Field, int]:
+                        h: SourceField, damping: float = 1.0) -> tuple[Field, int]:
     """Damped Picard iteration for the inhomogeneous scalar problem.
 
     Iterates v_{k+1} = (1-theta) v_k + theta * solve(-Delta v = e^{f(u_k)/2} h)
@@ -357,10 +339,8 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if range_m is None:
-        hmax = float(np.abs(h.values[grid.in_mask]).max()) if h.values.size else 0.0
-        range_m = default_table_range(boundary) + hmax
-    table = TransformTable(f, range_m)
+    hmax = float(np.abs(h.values[grid.in_mask]).max()) if h.values.size else 0.0
+    table = TransformTable(f, default_table_range(boundary) + hmax)
     wb = table.boundary_values(boundary)
     v = poisson_dirichlet(grid, None, wb).values[..., 0]
 

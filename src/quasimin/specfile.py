@@ -11,6 +11,8 @@ in one loop, so a bad value, an unknown key (named with its nearest valid
 alternative) or a repeated key is reported on its own line.  The domain,
 weight and solver options are then built from the converted values, and
 two per-mode tables list the keys a mode requires and those it refuses.
+`_KIND_KEYS` lists the keys each domain and weight kind reads; any other
+key of the section is refused on its line.
 """
 
 from __future__ import annotations
@@ -172,8 +174,14 @@ _REFUSED = {
                               "sphere mode sizes each chart's box from its data; drop box_bound"),
 }
 
-# Keys each domain kind is built from, besides the resolution.
-_DOMAIN_KEYS = {"box": ("extents",), "masked_box": ("extents", "mask"), "half_ball": ("radius",)}
+# Keys each domain and weight kind is built from, besides those every kind
+# of its section reads.  A key that the chosen kind does not read is
+# refused on its line.
+_KIND_KEYS = {
+    "domain": {"box": ("extents",), "masked_box": ("extents", "mask"), "half_ball": ("radius",)},
+    "weight": {"gaussian": ("alpha",), "sphere_chart": ("beta",), "constant": ("value",)},
+}
+_EVERY_KIND = {"domain": ("kind", "resolution"), "weight": ("kind", "shift")}
 
 
 def _suggest(key: str, valid) -> str:
@@ -271,11 +279,19 @@ def parse_problem(text: str) -> ProblemSpec:
     needs = {section for section, _ in _REQUIRED[mode]}
     # a section holding a bad value was reported on that value's line already
     broken = {s for s, k in lines if k is not None and k not in values[s]}
+    for section, kinds in _KIND_KEYS.items():
+        # box is the domain default and no weight kind; a bad kind is reported
+        kind = values[section].get("kind", "box" if (section, "kind") not in lines else None)
+        if section not in needs or kind not in kinds:
+            continue
+        for key in values[section]:
+            if key not in _EVERY_KIND[section] + kinds[kind]:
+                fail(lines[(section, key)], f"a {kind} {section} does not read {key}; drop it")
 
     if "domain" in needs and "domain" not in broken:
         keys = values["domain"]
         kind = keys.get("kind", "box")
-        missing = [k for k in _DOMAIN_KEYS[kind] if k not in keys]
+        missing = [k for k in _KIND_KEYS["domain"][kind] if k not in keys]
         if missing:
             fail(line_of("domain", "kind"), f"{kind} domain needs {' and '.join(missing)}")
         elif "resolution" in keys:

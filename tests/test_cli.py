@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quasimin.cli import main
+from quasimin.energy import CoefficientTensor
+from quasimin.specfile import parse_problem
 from quasimin.oracle import ConvergenceError
 from quasimin.fieldio import read_field, write_field
 from quasimin import DomainSpec, Field, build_grid
@@ -462,3 +466,78 @@ def test_refused_solver_keys_exit_3_on_their_line(tmp_path, capsys, text, mode, 
     (err,) = capsys.readouterr().err.splitlines()
     assert err == f"spec error: line {no}: {message}"
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        (SOLVE_SPEC.replace("resolution = 17 17", "resolution = 17 17\nmask = x1 < 2\nradius = 1")
+         .replace("alpha = 1.0", "alpha = 1.0\nbeta = 2\nvalue = 3\nshift = 0.5"),
+         {"mask = x1 < 2": "a box domain does not read mask; drop it",
+          "radius = 1": "a box domain does not read radius; drop it",
+          "beta = 2": "a gaussian weight does not read beta; drop it",
+          "value = 3": "a gaussian weight does not read value; drop it"}),
+        (SOLVE_SPEC.replace("kind = gaussian\nalpha = 1.0", "kind = constant\nalpha = 1.0"),
+         {"alpha = 1.0": "a constant weight does not read alpha; drop it"}),
+    ],
+    ids=["box_gaussian", "constant_alpha"],
+)
+def test_keys_the_kind_does_not_read_exit_3_on_their_lines(tmp_path, capsys, text, lines):
+    code, out = run(tmp_path, "k.cfg", text, "solve")
+    assert code == 3
+    numbered = text.splitlines()
+    want = [f"spec error: line {numbered.index(line) + 1}: {msg}" for line, msg in lines.items()]
+    assert capsys.readouterr().err.splitlines() == want
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("kind, key", [("gaussian", "alpha = 1.0"), ("sphere_chart", "beta = 2"),
+                                       ("constant", "value = 0.5")])
+def test_weight_shift_is_read_by_every_kind(tmp_path, kind, key):
+    text = SOLVE_SPEC.replace("kind = gaussian\nalpha = 1.0", f"kind = {kind}\n{key}\nshift = 0.25")
+    code, out = run(tmp_path, "w.cfg", text, "solve")
+    assert code == 0
+    assert read_summary(out / "summary.txt")["converged"] == "true"
+
+
+_PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+_DISK_CHART = (_PROBLEMS / "disk_chart.cfg").read_text()
+
+
+@pytest.mark.parametrize("path", sorted(_PROBLEMS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_problem_runs_and_converges(tmp_path, path):
+    text = path.read_text()
+    code, out = run(tmp_path, path.name, text, parse_problem(text).mode)
+    assert code == 0
+    assert read_summary(out / "summary.txt")["converged"] == "true"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # x1 + 0.01 <= 0 only at the face points x1 = -h/2, left of the box
+        SOLVE_SPEC.replace("17 17", "33 33") + "\n[tensor]\ndiagonal = x1 + 0.01 ; 1\n",
+        # 1.01 - |x|^2 <= 0 only outside the disk, at the bounding box corners
+        _DISK_CHART.replace("diagonal = 1 ; 1 + x1^2", "diagonal = 1 ; 1.01 - x1^2 - x2^2"),
+    ],
+    ids=["box_left_face", "disk_rim"],
+)
+def test_tensor_elliptic_on_the_domain_solves(tmp_path, text):
+    assert ".01" in text  # the replacement took
+    code, out = run(tmp_path, "e.cfg", text, "solve")
+    assert code == 0
+    assert read_summary(out / "summary.txt")["converged"] == "true"
+
+
+def test_tensor_solve_evaluates_the_tensor_once(tmp_path, monkeypatch):
+    calls = []
+    evaluate = CoefficientTensor.eval
+
+    def counted(self, points):
+        calls.append(points.shape)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(CoefficientTensor, "eval", counted)
+    code, out = run(tmp_path, "d.cfg", _DISK_CHART, "solve")
+    assert code == 0
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quasimin import (
+    AdmissibleSet,
     CoefficientTensor,
     DomainSpec,
     Field,
@@ -15,9 +16,12 @@ from quasimin import (
     energy,
     gaussian,
     grad_energy,
+    kkt_residual,
+    minimize,
+    sample_boundary,
     sphere_chart,
 )
-from quasimin.energy import energy_raw, grad_raw
+from quasimin.energy import cell_mask, energy_raw, grad_raw, half_index, sample_tensor
 
 
 def square(n):
@@ -26,6 +30,13 @@ def square(n):
 
 def interval(n):
     return build_grid(DomainSpec.box([(0, 1)]), (n,))
+
+
+def unit_disk(n):
+    dom = DomainSpec.masked_box(
+        [(-1, 1), (-1, 1)], lambda p: np.sum(p * p, axis=-1) <= 1.0 + 1e-12
+    )
+    return build_grid(dom, (n, n))
 
 
 def random_field(grid, ncomp, seed, scale=1.0):
@@ -209,10 +220,7 @@ def test_anisotropic_identity_matches_isotropic_bitwise():
 def test_unit_tensor_residual_is_the_isotropic_residual_on_the_disk():
     # one residual path: a_i = 1 multiplies exactly, and no node next to the
     # staircase is masked out
-    dom = DomainSpec.masked_box(
-        [(-1, 1), (-1, 1)], lambda p: np.sum(p * p, axis=-1) <= 1.0 + 1e-12
-    )
-    g = build_grid(dom, (17, 17))
+    g = unit_disk(17)
     U = Field(g, 2, random_field(g, 2, seed=4))
     iso = el_residual(g, U, gaussian(1.0)).values
     unit = el_residual(g, U, gaussian(1.0), CoefficientTensor.diagonal([1.0, 1.0])).values
@@ -234,3 +242,34 @@ def test_ellipticity_bounds():
     lo, hi = ellipticity_bounds(mixed, pts)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(3.0, abs=1e-12)
+
+
+def test_sample_tensor_reads_the_points_the_formulas_read():
+    # 1.01 - |x|^2 is elliptic on the closed unit disk only
+    g = unit_disk(17)
+    A = CoefficientTensor.diagonal([lambda p: 1.01 - np.sum(p * p, axis=-1), 2.0])
+    S = sample_tensor(g, A)
+    assert S.shape == (33, 33, 2)
+    nodes = S[half_index(2)]
+    assert np.array_equal(nodes[g.interior_mask], A.eval(g.points()[g.interior_mask]))
+    assert (nodes[~g.interior_mask] == 1.0).all()
+    mids = S[half_index(2, (0, 1))]
+    assert (mids[~cell_mask(g)] == 1.0).all() and (mids[cell_mask(g)] > 0.0).all()
+    assert sample_tensor(g, S) is S
+    assert sample_tensor(g, CoefficientTensor.identity()) is None
+
+
+def test_sampled_tensor_gives_the_bits_of_the_tensor():
+    g = unit_disk(17)
+    w = gaussian(1.0)
+    A = CoefficientTensor.diagonal([1.0, lambda p: 1.01 - np.sum(p * p, axis=-1)])
+    S = sample_tensor(g, A)
+    U = Field(g, 2, random_field(g, 2, seed=5))
+    assert np.array_equal(el_residual(g, U, w, A).values, el_residual(g, U, w, S).values)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, :1] * p[:, 1:]))
+    U_a, rep_a = minimize(g, w, adm, A=A)
+    U_s, rep_s = minimize(g, w, adm, A=S)
+    assert rep_a.converged
+    assert np.array_equal(U_a.values, U_s.values)
+    assert np.array_equal(rep_a.energy_history, rep_s.energy_history)
+    assert kkt_residual(g, U_a, w, adm, A) == kkt_residual(g, U_a, w, adm, S)

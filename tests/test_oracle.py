@@ -312,12 +312,9 @@ def test_monotone_data_monotone_solution():
     assert np.all(np.diff(u.values[:, 0]) > 0)
 
 
-def test_exact_solver_enlarges_range_once():
-    g = interval(17)
-    bd = sample_boundary(g, lambda p: p[:, 0])
-    # given range misses the data; one doubling covers it
-    u = solve_scalar_exact(g, gaussian(1.0), bd, range_m=0.6)
-    ref = solve_scalar_exact(g, gaussian(1.0), bd)
-    assert np.abs(u.values - ref.values).max() < 1e-10
-    with pytest.raises(ValueError, match="range"):
-        solve_scalar_exact(g, gaussian(1.0), bd, range_m=0.2)
+def test_table_refuses_arguments_outside_its_range():
+    table = TransformTable(gaussian(1.0), 1.0)
+    with pytest.raises(ValueError, match="argument leaves the transform table range"):
+        table.forward(np.array([1.5]))
+    with pytest.raises(ValueError, match="value leaves the transform table range"):
+        table.inverse(np.array([table.w_max + 1.0]))
