@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .grids import Field, Grid, shifted
+from .grids import Field, Grid, successors
 from .weights import Weight
 
 
@@ -91,12 +91,6 @@ def half_index(ndim: int, odd_axes=()) -> tuple[slice, ...]:
     return tuple(slice(1 if ax in odd_axes else 0, None, 2) for ax in range(ndim))
 
 
-def _successors(ax: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Indices of every node that has a successor along axis ax, and of that successor."""
-    head = (slice(None),) * ax
-    return head + (slice(None, -1),), head + (slice(1, None),)
-
-
 def sample_tensor(grid: Grid, A) -> np.ndarray | None:
     """The coefficients on the half-step lattice, (2 dims - 1) + (n,); None for |DU|^2.
 
@@ -117,7 +111,7 @@ def sample_tensor(grid: Grid, A) -> np.ndarray | None:
     read[half_index(n, range(n))] = cell_mask(grid)
     read[half_index(n)] = inner
     for ax in range(n):
-        lo, hi = _successors(ax)
+        lo, hi = successors(ax)
         # a face is read when either node it joins is interior
         read[half_index(n, (ax,))] = inner[lo] | inner[hi]
     at = np.nonzero(read)
@@ -144,7 +138,7 @@ def cell_op(x: np.ndarray, coefs) -> np.ndarray:
     1/2) averages, (-1/h, 1/h) differences.  Trailing axes pass through.
     """
     for ax, (lo, hi) in enumerate(coefs):
-        first, second = _successors(ax)
+        first, second = successors(ax)
         x = lo * x[first] + hi * x[second]
     return x
 
@@ -156,7 +150,7 @@ def cell_op_adjoint(y: np.ndarray, coefs) -> np.ndarray:
         shape = list(y.shape)
         shape[ax] += 1
         out = np.zeros(shape)
-        first, second = _successors(ax)
+        first, second = successors(ax)
         out[first] = lo * y
         out[second] += hi * y
         y = out
@@ -326,14 +320,14 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     grad_c = np.zeros(grid.dims + (grid.ndim, U.ncomp))
     div = np.zeros_like(vals)
     for ax in range(grid.ndim):
-        lo, hi = _successors(ax)
-        grad_c[..., ax, :] = (shifted(vals, ax, +1) - shifted(vals, ax, -1)) / (2 * h[ax])
+        lo, hi = successors(ax)
+        # [lo][hi] holds the nodes with both neighbours along ax
+        grad_c[lo][hi][..., ax, :] = (vals[hi][hi] - vals[lo][lo]) / (2 * h[ax])
         # the flux e^f a_ax d_ax U through each face between axis neighbours
         flux = np.exp(w.f_base(0.5 * (vals[lo] + vals[hi])))
         if A is not None:
             flux = flux * A[half_index(grid.ndim, (ax,))][..., ax]
         flux = flux[..., None] * (vals[hi] - vals[lo])
-        # div[lo][hi], a view of div, holds the nodes with both faces
         div[lo][hi] += (flux[hi] - flux[lo]) / h[ax] ** 2
     sq = grad_c * grad_c
     if A is not None:

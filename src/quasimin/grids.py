@@ -174,39 +174,34 @@ class Grid:
         )
 
 
-def shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """values shifted by step nodes along axis; out-of-range entries zero."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    else:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = values[tuple(src)]
+def successors(ax: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Indices of every node that has a successor along axis ax, and of that successor.
+
+    x[lo][hi] are the nodes with both neighbours along ax.
+    """
+    head = (slice(None),) * ax
+    return head + (slice(None, -1),), head + (slice(1, None),)
+
+
+def any_neighbor(mask: np.ndarray) -> np.ndarray:
+    """The nodes with at least one axis neighbour in mask."""
+    out = np.zeros_like(mask)
+    for ax in range(mask.ndim):
+        lo, hi = successors(ax)
+        out[lo] |= mask[hi]
+        out[hi] |= mask[lo]
     return out
 
 
 def _classify(in_dom: np.ndarray) -> np.ndarray:
     """Node classes from an in-domain mask (staircase boundary rule)."""
-    ndim = in_dom.ndim
-    ext = ~in_dom
-    near_ext = np.zeros_like(in_dom)
-    for ax in range(ndim):
-        near_ext |= shifted(ext, ax, +1) | shifted(ext, ax, -1)
-    hull = np.zeros_like(in_dom)
-    for ax in range(ndim):
-        sl = [slice(None)] * ndim
-        sl[ax] = 0
-        hull[tuple(sl)] = True
-        sl[ax] = -1
-        hull[tuple(sl)] = True
-    boundary = in_dom & (hull | near_ext)
+    core = (slice(1, -1),) * in_dom.ndim
+    inner = np.zeros_like(in_dom)
+    inner[core] = in_dom[core]
+    inner &= ~any_neighbor(~in_dom)
     cls = np.full(in_dom.shape, EXTERIOR, dtype=np.int8)
     cls[in_dom] = BOUNDARY
-    cls[in_dom & ~boundary] = INTERIOR
+    cls[inner] = INTERIOR
     return cls
 
 

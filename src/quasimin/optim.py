@@ -110,9 +110,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol_pg is not None and self.tol_pg <= 0:
+        # not x > 0 refuses nan too
+        if self.tol_pg is not None and not self.tol_pg > 0:
             raise ValueError("tol_pg must be positive")
-        if self.tol_factor is not None and self.tol_factor <= 0:
+        if self.tol_factor is not None and not self.tol_factor > 0:
             raise ValueError("tol_factor must be positive")
 
 

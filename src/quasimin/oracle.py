@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import BoundaryData, Field, Grid, shifted
+from .grids import BoundaryData, Field, Grid, any_neighbor, successors
 from .weights import Weight
 
 
@@ -169,8 +169,9 @@ def default_table_range(boundary: BoundaryData) -> float:
 def _neighbor_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros_like(values)
     for ax in range(grid.ndim):
-        for sgn in (+1, -1):
-            out += shifted(values, ax, sgn) / grid.spacing[ax] ** 2
+        lo, hi = successors(ax)
+        out[lo] += values[hi] / grid.spacing[ax] ** 2
+        out[hi] += values[lo] / grid.spacing[ax] ** 2
     return out
 
 
@@ -296,10 +297,7 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
     # operator: M inverts it exactly and keeps it out of the lattice solve,
     # so a zero source there stays exactly zero, as the operator's own
     # Krylov space keeps it
-    linked = np.zeros_like(grid.interior_mask)
-    for ax in range(grid.ndim):
-        linked |= shifted(grid.interior_mask, ax, +1) | shifted(grid.interior_mask, ax, -1)
-    lone = ~linked.reshape(-1)[int_idx]
+    lone = ~any_neighbor(grid.interior_mask).reshape(-1)[int_idx]
 
     def apply_preconditioner(r_int: np.ndarray) -> np.ndarray:
         full = np.zeros(grid.num_nodes)

@@ -8,11 +8,12 @@ diagnostics.
 The key table `_KEYS` gives every valid key its diagnostic label, its
 converter and the ProblemSpec field it fills.  `_scan` converts every key
 in one loop, so a bad value, an unknown key (named with its nearest valid
-alternative) or a repeated key is reported on its own line.  The domain,
-weight and solver options are then built from the converted values, and
-two per-mode tables list the keys a mode requires and those it refuses.
-`_KIND_KEYS` lists the keys each domain and weight kind reads; any other
-key of the section is refused on its line.
+alternative), a non-finite number or a repeated key is reported on its
+own line.  The domain, weight and solver options are then built from the
+converted values.  `_REQUIRED` lists the keys a mode needs and `_READERS`
+the modes that read each section.  `_KIND_KEYS` lists the keys each
+domain and weight kind reads.  Anything else is refused on its line, in
+line order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Diagnostic:
 
 class SpecError(ValueError):
     def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
+        self.diagnostics = sorted(diagnostics, key=lambda d: d.line)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
@@ -68,8 +69,23 @@ class ProblemSpec:
     outputs: dict = dataclass_field(default_factory=dict)
 
 
+def _checked(convert, ok, message):
+    """convert, then refuse a result for which ok() is false."""
+
+    def check(value):
+        out = convert(value)
+        if not ok(out):
+            raise ValueError(message)
+        return out
+
+    return check
+
+
+_finite = _checked(float, np.isfinite, "expected a finite number")
+
+
 def _floats(value: str) -> list[float]:
-    return [float(tok) for tok in value.replace(",", " ").split()]
+    return [_finite(tok) for tok in value.replace(",", " ").split()]
 
 
 def _ints(value: str) -> tuple[int, ...]:
@@ -84,18 +100,6 @@ def _intervals(value: str) -> tuple[tuple[float, float], ...]:
             raise ValueError(f"expected `lo hi`, got {part.strip()!r}")
         out.append((nums[0], nums[1]))
     return tuple(out)
-
-
-def _checked(convert, ok, message):
-    """convert, then refuse a result for which ok() is false."""
-
-    def check(value):
-        out = convert(value)
-        if not ok(out):
-            raise ValueError(message)
-        return out
-
-    return check
 
 
 def _choice(*options):
@@ -118,30 +122,31 @@ _KEYS = {
     ("domain", "kind"): ("domain kind", _choice("box", "masked_box", "half_ball"), None),
     ("domain", "extents"): ("extents", _intervals, None),
     ("domain", "resolution"): ("resolution", _ints, "resolution"),
-    ("domain", "radius"): ("radius", float, None),
+    ("domain", "radius"): ("radius", _finite, None),
     ("domain", "mask"): ("mask expression", parse_expr, None),
     ("weight", "kind"): ("weight kind", _choice("gaussian", "sphere_chart", "constant"), None),
-    ("weight", "alpha"): ("weight alpha", float, None),
-    ("weight", "beta"): ("weight beta", float, None),
-    ("weight", "value"): ("weight value", float, None),
-    ("weight", "shift"): ("weight shift", float, None),
+    ("weight", "alpha"): ("weight alpha", _finite, None),
+    ("weight", "beta"): ("weight beta", _finite, None),
+    ("weight", "value"): ("weight value", _finite, None),
+    ("weight", "shift"): ("weight shift", _finite, None),
     ("boundary", "values"): ("boundary expression", parse_vector_expr, "boundary"),
     ("tensor", "diagonal"): ("tensor diagonal", _diagonal_tensor, "tensor"),
-    ("solver", "tol_pg"): ("tol_pg", _solver_option("tol_pg", float), None),
+    ("solver", "tol_pg"): ("tol_pg", _solver_option("tol_pg", _finite), None),
     ("solver", "max_iters"): ("max_iters", _solver_option("max_iters", int), None),
     ("solver", "box_bound"): ("box_bound", lambda v: np.array(_floats(v)), "box_bound"),
     ("halfspace", "radii"): ("radii", lambda v: tuple(_floats(v)), "radii"),
     ("halfspace", "spacing"): ("spacing", _checked(
-        float, lambda h: h > 0, "spacing must be positive"), "spacing"),
+        _finite, lambda h: h > 0, "spacing must be positive"), "spacing"),
     ("halfspace", "window"): ("window", _intervals, "window"),
     ("halfspace", "function"): ("halfspace function", parse_vector_expr, "halfspace_fn"),
     ("source", "values"): ("source expression", _checked(
         parse_vector_expr, lambda v: v.ncomp == 1, "source must be scalar"), "source"),
     ("source", "damping"): ("damping", _checked(
-        float, lambda d: 0.0 < d <= 1.0, "damping must lie in (0, 1]"), "source_damping"),
+        _finite, lambda d: 0.0 < d <= 1.0, "damping must lie in (0, 1]"), "source_damping"),
     ("gradcheck", "components"): ("component count", _checked(
         int, lambda c: c >= 1, "gradcheck components must be >= 1"), "gradcheck_components"),
-    ("gradcheck", "step"): ("gradcheck step", float, "gradcheck_step"),
+    ("gradcheck", "step"): ("gradcheck step", _checked(
+        _finite, lambda s: s > 0, "gradcheck step must be positive"), "gradcheck_step"),
     ("output", "field"): ("output name", str, None),
     ("output", "summary"): ("output name", str, None),
     ("output", "history"): ("output name", str, None),
@@ -159,19 +164,21 @@ _REQUIRED = {
     "gradcheck": (("domain", "resolution"), ("weight", "kind")),
 }
 
-# (section, key, or None for the whole section) -> (modes that refuse it, message)
-_REFUSED = {
-    ("domain", None): (("halfspace",),
-                       "halfspace mode builds its own half-ball domains; drop [domain]"),
-    ("weight", None): (("sphere",), "sphere mode fixes the chart weight; drop [weight]"),
-    ("tensor", "diagonal"): (("oracle", "sphere", "halfspace", "gradcheck"),
-                             "a coefficient tensor applies to solve mode only"),
-    ("source", "values"): (("solve", "sphere", "halfspace", "gradcheck"),
-                           "a source term applies to oracle mode only"),
-    ("solver", None): (("oracle", "gradcheck"),
-                       "oracle and gradcheck modes run no descent; drop [solver]"),
-    ("solver", "box_bound"): (("sphere",),
-                              "sphere mode sizes each chart's box from its data; drop box_bound"),
+# section -> (the modes that read it, the message every other mode refuses
+# it with, on its header line).  Every mode reads the mode line and [output].
+_READERS = {
+    "domain": (("solve", "oracle", "sphere", "gradcheck"),
+               "halfspace mode builds its own half-ball domains; drop [domain]"),
+    "weight": (("solve", "oracle", "halfspace", "gradcheck"),
+               "sphere mode fixes the chart weight; drop [weight]"),
+    "boundary": (("solve", "oracle", "sphere"),
+                 "halfspace and gradcheck modes read no boundary expression; drop [boundary]"),
+    "tensor": (("solve",), "a coefficient tensor applies to solve mode only"),
+    "source": (("oracle",), "a source term applies to oracle mode only"),
+    "solver": (("solve", "sphere", "halfspace"),
+               "oracle and gradcheck modes run no descent; drop [solver]"),
+    "halfspace": (("halfspace",), "[halfspace] applies to halfspace mode only"),
+    "gradcheck": (("gradcheck",), "[gradcheck] applies to gradcheck mode only"),
 }
 
 # Keys each domain and weight kind is built from, besides those every kind
@@ -266,9 +273,12 @@ def parse_problem(text: str) -> ProblemSpec:
         """The key's line, else its section header's, else the mode line."""
         return lines.get((section, key)) or lines.get((section, None)) or lines[("", "mode")]
 
-    for (section, key), (modes, message) in _REFUSED.items():
-        if mode in modes and (section, key) in lines:
-            fail(lines[(section, key)], message)
+    for section, (modes, message) in _READERS.items():
+        if mode not in modes and (section, None) in lines:
+            fail(lines[(section, None)], message)
+    if mode == "sphere" and ("solver", "box_bound") in lines:
+        fail(lines[("solver", "box_bound")],
+             "sphere mode sizes each chart's box from its data; drop box_bound")
     for section, key in _REQUIRED[mode]:
         if (section, key) not in lines:
             fail(line_of(section), f"missing [{section}] {key}")

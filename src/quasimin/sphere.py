@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import energy
-from .grids import BoundaryData, Field, Grid, shifted
+from .grids import BoundaryData, Field, Grid, successors
 from .optim import AdmissibleSet, SolveOptions, SolveReport, minimize
 from .weights import constant, sphere_chart
 
@@ -194,20 +194,18 @@ def harmonic_residual(grid: Grid, V: Field) -> float:
     vals = V.values
     if np.abs(np.linalg.norm(vals[grid.in_mask], axis=-1) - 1.0).max() > 1e-8:
         raise ValueError("field is not unit-length on in-domain nodes")
-    ndim = grid.ndim
     lap = np.zeros_like(vals)
     grad_sq = np.zeros(grid.dims)
-    for ax in range(ndim):
-        up = shifted(vals, ax, +1)
-        dn = shifted(vals, ax, -1)
+    for ax in range(grid.ndim):
+        lo, hi = successors(ax)
+        # [lo][hi] holds the nodes with both neighbours along ax
+        up, mid, dn = vals[hi][hi], vals[lo][hi], vals[lo][lo]
         h = grid.spacing[ax]
-        lap += (up - 2.0 * vals + dn) / h**2
+        lap[lo][hi] += (up - 2.0 * mid + dn) / h**2
         cent = (up - dn) / (2.0 * h)
-        grad_sq += np.sum(cent * cent, axis=-1)
+        grad_sq[lo][hi] += np.sum(cent * cent, axis=-1)
     res = lap + grad_sq[..., None] * vals
-    mags = np.linalg.norm(res, axis=-1)
-    mags[~grid.interior_mask] = 0.0
-    return float(mags.max())
+    return float(np.linalg.norm(res[grid.interior_mask], axis=-1).max())
 
 
 def _chart_boundary(pole: ChartPole, boundary: BoundaryData) -> BoundaryData:

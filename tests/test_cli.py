@@ -500,6 +500,73 @@ def test_weight_shift_is_read_by_every_kind(tmp_path, kind, key):
     assert read_summary(out / "summary.txt")["converged"] == "true"
 
 
+_NO_BOUNDARY = "halfspace and gradcheck modes read no boundary expression; drop [boundary]"
+_NO_GRADCHECK = "[gradcheck] applies to gradcheck mode only"
+
+
+@pytest.mark.parametrize(
+    "text, mode, lines",
+    [
+        (SOLVE_SPEC + "\n[halfspace]\nradii = 1 2\n\n[gradcheck]\ncomponents = 3\n"
+         "\n[source]\ndamping = 0.5\n", "solve",
+         {"[halfspace]": "[halfspace] applies to halfspace mode only",
+          "[gradcheck]": _NO_GRADCHECK,
+          "[source]": "a source term applies to oracle mode only"}),
+        (GRADCHECK_SPEC + "\n[boundary]\nvalues = x1\n", "gradcheck",
+         {"[boundary]": _NO_BOUNDARY}),
+        (HALFSPACE_SPEC + "\n[boundary]\nvalues = x1\n\n[gradcheck]\nstep = 1e-4\n", "halfspace",
+         {"[boundary]": _NO_BOUNDARY, "[gradcheck]": _NO_GRADCHECK}),
+        # line order: the kind refusal on line 6 comes before the [tensor] header
+        (ORACLE_SPEC.replace("kind = box", "kind = box\nradius = 2")
+         + "\n[tensor]\ndiagonal = 1\n", "oracle",
+         {"radius = 2": "a box domain does not read radius; drop it",
+          "[tensor]": "a coefficient tensor applies to solve mode only"}),
+    ],
+    ids=["solve", "gradcheck", "halfspace", "line_order"],
+)
+def test_sections_the_mode_does_not_read_exit_3_on_their_headers(tmp_path, capsys, text,
+                                                                  mode, lines):
+    code, out = run(tmp_path, "m.cfg", text, mode)
+    assert code == 3
+    numbered = text.splitlines()
+    want = sorted((numbered.index(line) + 1, msg) for line, msg in lines.items())
+    assert capsys.readouterr().err.splitlines() == [
+        f"spec error: line {no}: {msg}" for no, msg in want]
+    assert not (out / "summary.txt").exists()
+
+
+_NOT_FINITE = "expected a finite number"
+
+
+@pytest.mark.parametrize(
+    "text, mode, line, message",
+    [
+        (SOLVE_SPEC.replace("alpha = 1.0", "alpha = nan"), "solve", "alpha = nan",
+         f"bad weight alpha 'nan': {_NOT_FINITE}"),
+        (SOLVE_SPEC.replace("alpha = 1.0", "alpha = inf"), "solve", "alpha = inf",
+         f"bad weight alpha 'inf': {_NOT_FINITE}"),
+        (SOLVE_SPEC.replace("alpha = 1.0", "alpha = 1.0\nshift = nan"), "solve", "shift = nan",
+         f"bad weight shift 'nan': {_NOT_FINITE}"),
+        (SOLVE_SPEC + "\n[solver]\ntol_pg = nan\n", "solve", "tol_pg = nan",
+         f"bad tol_pg 'nan': {_NOT_FINITE}"),
+        (SOLVE_SPEC + "\n[solver]\nbox_bound = inf\n", "solve", "box_bound = inf",
+         f"bad box_bound 'inf': {_NOT_FINITE}"),
+        (HALFSPACE_SPEC.replace("radii = 1 2", "radii = 1 nan"), "halfspace", "radii = 1 nan",
+         f"bad radii '1 nan': {_NOT_FINITE}"),
+        (GRADCHECK_SPEC + "step = 0\n", "gradcheck", "step = 0",
+         "bad gradcheck step '0': gradcheck step must be positive"),
+    ],
+    ids=["alpha_nan", "alpha_inf", "shift_nan", "tol_pg_nan", "box_bound_inf", "radii_nan",
+         "step_zero"],
+)
+def test_non_finite_numbers_exit_3_on_their_line(tmp_path, capsys, text, mode, line, message):
+    code, out = run(tmp_path, "f.cfg", text, mode)
+    assert code == 3
+    no = text.splitlines().index(line) + 1
+    assert capsys.readouterr().err.splitlines() == [f"spec error: line {no}: {message}"]
+    assert not (out / "summary.txt").exists()
+
+
 _PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 _DISK_CHART = (_PROBLEMS / "disk_chart.cfg").read_text()
 

@@ -11,6 +11,7 @@ from quasimin import (
     restrict,
     sample_boundary,
 )
+from quasimin.grids import _classify
 
 
 def test_box_5x5_counts():
@@ -58,6 +59,34 @@ def test_interior_neighbors_never_exterior():
                 nb = idx.copy()
                 nb[ax] += sgn
                 assert cls[tuple(nb)] != EXTERIOR
+
+
+def _classify_per_node(in_dom):
+    """The staircase rule, node by node."""
+    cls = np.full(in_dom.shape, EXTERIOR, dtype=np.int8)
+    for idx in np.ndindex(*in_dom.shape):
+        if not in_dom[idx]:
+            continue
+        on_hull = any(i in (0, d - 1) for i, d in zip(idx, in_dom.shape))
+        near_ext = any(
+            not in_dom[idx[:ax] + (idx[ax] + s,) + idx[ax + 1:]]
+            for ax in range(in_dom.ndim) for s in (-1, 1)
+            if 0 <= idx[ax] + s < in_dom.shape[ax]
+        )
+        cls[idx] = BOUNDARY if on_hull or near_ext else INTERIOR
+    return cls
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3,), (9,), (3, 3), (5, 8), (3, 7), (3, 3, 3), (4, 5, 6), (3, 6, 4)],
+)
+@pytest.mark.parametrize("density", [0.5, 0.85, 1.0])
+def test_classify_matches_the_per_node_rule(shape, density):
+    rng = np.random.default_rng([*shape, int(100 * density)])
+    for _ in range(20):
+        in_dom = rng.random(shape) < density
+        assert np.array_equal(_classify(in_dom), _classify_per_node(in_dom))
 
 
 def test_build_grid_errors():

@@ -23,9 +23,9 @@ from quasimin import (
     solve_scalar_exact,
 )
 from quasimin.energy import cell_op, cell_stencils, grad_raw, weighted_laplacian
-from quasimin.grids import shifted
 from quasimin.optim import _Metric, box_laplacian_inverse
 from quasimin.oracle import lattice_laplacian_inverse
+from stencils import minus_laplacian
 
 
 def square(n):
@@ -45,6 +45,13 @@ def test_admissible_set_validation():
         AdmissibleSet(np.array([0.0]), bd)
     with pytest.raises(ValueError, match="box bound"):
         AdmissibleSet(np.array([0.5]), bd)
+
+
+@pytest.mark.parametrize("field", ["tol_pg", "tol_factor"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_solve_options_refuse_a_tolerance_that_is_not_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        SolveOptions(**{field: value})
 
 
 def test_project_clamps_and_pins_boundary():
@@ -234,9 +241,7 @@ def test_box_laplacian_inverse_solves_the_5_point_stencil(grid):
     r = rng.standard_normal(grid.dims + (2,))
     v = box_laplacian_inverse(grid)(r)
     assert np.all(v[~grid.interior_mask] == 0.0)
-    lap = np.zeros_like(v)
-    for ax, h in enumerate(grid.spacing):
-        lap += (2.0 * v - shifted(v, ax, +1) - shifted(v, ax, -1)) / h**2
+    lap = minus_laplacian(v, grid.spacing)
     inner = grid.interior_mask
     assert np.abs(lap[inner] - r[inner]).max() <= 1e-12 * np.abs(r[inner]).max()
 

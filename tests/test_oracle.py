@@ -26,7 +26,8 @@ from quasimin import (
     solve_scalar_source,
 )
 from quasimin import oracle
-from quasimin.grids import BoundaryData, shifted
+from quasimin.grids import BoundaryData
+from stencils import minus_laplacian, neighbor
 
 
 def interval(n):
@@ -107,6 +108,23 @@ def _random_source(g):
     return SourceField(g, np.where(g.in_mask, vals, 0.0))
 
 
+
+@pytest.mark.parametrize(
+    "domain, resolution",
+    [(_disk(), (17, 17)), (DomainSpec.half_ball(1.0, 3), (11, 13, 7)),
+     (DomainSpec.box([(0, 1)]), (9,))],
+    ids=["disk", "half_ball_3d", "interval"],
+)
+@pytest.mark.parametrize("comps", [(), (2,)], ids=["scalar", "vector"])
+def test_neighbor_sum_is_the_zero_padded_sum(domain, resolution, comps):
+    g = build_grid(domain, resolution)
+    v = np.random.default_rng(7).standard_normal(g.dims + comps)
+    want = np.zeros_like(v)
+    for ax, h in enumerate(g.spacing):
+        for step in (+1, -1):
+            want += neighbor(v, ax, step) / h**2
+    assert np.array_equal(oracle._neighbor_sum(v, g), want)
+
 @pytest.mark.parametrize(
     "domain, resolution",
     [(_disk(), (17, 17)), (DomainSpec.half_ball(1.0, 2), (17, 9)),
@@ -123,9 +141,7 @@ def test_poisson_masked_solves_the_5_point_stencil(domain, resolution):
     v = poisson_dirichlet(g, rhs, bd).values
     assert np.array_equal(v.reshape(-1, 2)[g.boundary_indices], bd.values)
     assert np.all(v[~g.in_mask] == 0.0)
-    lap = np.zeros_like(v)
-    for ax, h in enumerate(g.spacing):
-        lap += (2.0 * v - shifted(v, ax, +1) - shifted(v, ax, -1)) / h**2
+    lap = minus_laplacian(v, g.spacing)
     inner = g.interior_mask
     resid = np.abs(lap[inner] - rhs.values[inner][:, None]).max()
     # CG stops at a 2-norm residual of 1e-12 |b|, and |b|_inf <= scale

@@ -149,8 +149,7 @@ def test_unknown_mode_and_missing_keys():
     assert "resolution" in msgs and "weight" in msgs and "boundary" in msgs
 
 
-def test_halfspace_spec():
-    text = """
+HALFSPACE = """
 mode = halfspace
 
 [weight]
@@ -163,7 +162,10 @@ spacing = 0.25
 window = 0 1 ; 0 1
 function = exp(-(x1^2 + x2^2))
 """
-    spec = parse_problem(text)
+
+
+def test_halfspace_spec():
+    spec = parse_problem(HALFSPACE)
     assert spec.radii == (2.0, 4.0, 8.0)
     assert spec.spacing == 0.25
     assert spec.window == ((0.0, 1.0), (0.0, 1.0))
@@ -248,21 +250,26 @@ def test_removed_step_rule_keys_are_unknown():
         parse_problem(text)
 
 
+ORACLE = MINIMAL.replace("mode = solve", "mode = oracle")
+GRADCHECK = MINIMAL.replace("mode = solve", "mode = gradcheck").replace(
+    "[boundary]\nvalues = x1\n", "")
+
+
 @pytest.mark.parametrize(
-    "mode, section, line, message",
+    "text, line, message",
     [
-        ("oracle", "source", "damping = abc", "bad damping 'abc'"),
-        ("gradcheck", "gradcheck", "components = two", "bad component count 'two'"),
-        ("gradcheck", "gradcheck", "components = 0", "components must be >= 1"),
-        ("gradcheck", "gradcheck", "step = tiny", "bad gradcheck step 'tiny'"),
-        ("oracle", "source", "damping = 2", "damping must lie in (0, 1]"),
-        ("solve", "halfspace", "spacing = 0", "spacing must be positive"),
+        (ORACLE + "\n[source]\n", "damping = abc", "bad damping 'abc'"),
+        (GRADCHECK + "\n[gradcheck]\n", "components = two", "bad component count 'two'"),
+        (GRADCHECK + "\n[gradcheck]\n", "components = 0", "components must be >= 1"),
+        (GRADCHECK + "\n[gradcheck]\n", "step = tiny", "bad gradcheck step 'tiny'"),
+        (ORACLE + "\n[source]\n", "damping = 2", "damping must lie in (0, 1]"),
+        (HALFSPACE.replace("spacing = 0.25\n", ""), "spacing = 0", "spacing must be positive"),
     ],
     ids=["damping", "components", "components_zero", "step", "damping_range",
          "spacing_zero"],
 )
-def test_numeric_keys_report_spec_errors(mode, section, line, message):
-    text = MINIMAL.replace("mode = solve", f"mode = {mode}") + f"\n[{section}]\n{line}\n"
+def test_numeric_keys_report_spec_errors(text, line, message):
+    text = text + line + "\n"
     with pytest.raises(SpecError) as err:
         parse_problem(text)
     (diag,) = err.value.diagnostics

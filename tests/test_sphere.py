@@ -21,6 +21,7 @@ from quasimin import (
     stereo_project,
     sup_distance,
 )
+from stencils import neighbor
 
 
 def interval(n):
@@ -135,6 +136,29 @@ def test_harmonic_residual_geodesic_refines():
     assert 3.0 <= res[51] / res[101] <= 5.0
     assert 3.0 <= res[101] / res[201] <= 5.0
 
+
+
+@pytest.mark.parametrize(
+    "domain, resolution",
+    [(DomainSpec.masked_box([(-1, 1), (-1, 1)], lambda p: np.sum(p * p, axis=-1) <= 1.0),
+      (17, 17)),
+     (DomainSpec.half_ball(1.0, 3), (11, 13, 7)), (DomainSpec.box([(0, 1)]), (9,))],
+    ids=["disk", "half_ball_3d", "interval"],
+)
+def test_harmonic_residual_is_the_zero_padded_residual(domain, resolution):
+    g = build_grid(domain, resolution)
+    vals = np.random.default_rng(8).standard_normal(g.dims + (3,))
+    vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
+    lap = np.zeros_like(vals)
+    grad_sq = np.zeros(g.dims)
+    for ax, h in enumerate(g.spacing):
+        up, dn = neighbor(vals, ax, +1), neighbor(vals, ax, -1)
+        lap += (up - 2.0 * vals + dn) / h**2
+        cent = (up - dn) / (2.0 * h)
+        grad_sq += np.sum(cent * cent, axis=-1)
+    mags = np.linalg.norm(lap + grad_sq[..., None] * vals, axis=-1)
+    want = float(mags[g.interior_mask].max())
+    assert harmonic_residual(g, Field(g, 3, vals)) == want
 
 def test_harmonic_residual_detects_bump():
     g = interval(33)
