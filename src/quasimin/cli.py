@@ -2,19 +2,18 @@
 
 Usage: quasimin <mode> --spec FILE [--out-dir DIR] [--seed N]
 
-Modes map one-to-one onto spec-file modes (solve, oracle, sphere,
-halfspace, gradcheck).  Every run writes a machine-readable summary, even
-on solver non-convergence; field dumps and summaries are byte-identical
-across reruns of the same spec.  Wall-clock timings go to a separate
-timing file so the compared artifacts stay deterministic: `wall_time_s`
-for the run and `write_s` for its artifact writes (field dumps,
-histories, summaries).
+Modes map one-to-one onto spec-file modes.  One writer writes exactly the
+files `spec.outputs` names, and every run writes a machine-readable
+summary, even on solver non-convergence; field dumps and summaries are
+byte-identical across reruns of the same spec.  Wall-clock timings go to
+a separate timing file so the compared artifacts stay deterministic:
+`wall_time_s` for the run and `write_s` for its artifact writes.
 
 Exit codes: 0 converged, 2 not converged or a numerical failure (the
-summary then carries `error`), 3 spec error, 4 I/O failure.  A failure
-counts as a spec error when it comes from evaluating what the spec gives:
-the grid, the boundary, source and tensor expressions, the box bound and
-the half-space geometry.
+summary then carries `error`), 3 spec or usage error, 4 I/O failure.  A
+failure counts as a spec error when it comes from evaluating what the
+spec gives: the grid, the boundary, source and tensor expressions, the
+box bound and the half-space geometry.
 QUASIMIN_NUM_THREADS caps the thread count of the underlying BLAS pools.
 """
 
@@ -43,7 +42,7 @@ from .grids import BoundaryData, build_grid, sample_boundary
 from .optim import AdmissibleSet, minimize
 from .oracle import ConvergenceError, SourceField, solve_scalar_exact, solve_scalar_source
 from .halfspace import solve_exhaustion
-from .specfile import SpecError, parse_problem
+from .specfile import MODES, TIMING_FILE, SpecError, parse_problem
 from .sphere import solve_harmonic_pair, sup_distance
 
 _Q_EXPONENTS = (2.0, 2.5, 3.0)
@@ -86,17 +85,31 @@ def _source_field(grid, expr):
     return SourceField(grid, np.where(grid.in_mask, values, 0.0))
 
 
-def _summary_paths(spec, outdir):
-    paths = {
-        key: os.path.join(outdir, name) for key, name in spec.outputs.items()
-    }
-    paths["timing"] = os.path.join(outdir, "timing.txt")
-    return paths
+def _write(outputs, outdir, artifacts):
+    """Write each artifact to the file that outputs names for its key."""
+    for key, value in artifacts.items():
+        path = os.path.join(outdir, outputs[key])
+        if key.startswith("field"):
+            fieldio.write_field(value, path)
+        elif key.startswith("history"):
+            fieldio.write_history(value.energy_history, value.pg_history, path)
+        else:
+            fieldio.write_summary(value, path)
 
 
-def _solve_summary(report, extra):
+# Each runner returns its artifacts by spec.outputs key: the summary items,
+# the fields and the solve reports whose histories are written.  Only
+# gradcheck reads the seed.
+def _run_solve(spec, seed):
+    grid, bdry = _grid_and_boundary(spec)
+    adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
+    # sampled and checked once, wherever the solve and both reports read it
+    A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor)
+    U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
+    ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
+    res = el_residual(grid, U, spec.weight, A=A)
     items = {
-        "mode": extra.pop("mode"),
+        "mode": "solve",
         "converged": report.converged,
         "iterations": report.iterations,
         "final_energy": report.final_energy,
@@ -108,34 +121,15 @@ def _solve_summary(report, extra):
         "backtracks": report.backtracks,
         "preconditioned_steps": report.preconditioned_steps,
         "factorizations": report.factorizations,
-    }
-    items.update(extra)
-    return items
-
-
-def _run_solve(spec, paths, writes):
-    grid, bdry = _grid_and_boundary(spec)
-    adm = _from_spec("box bound", AdmissibleSet.from_boundary, bdry, box=spec.box_bound)
-    # sampled and checked once, wherever the solve and both reports read it
-    A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor)
-    U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
-    ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
-    res = el_residual(grid, U, spec.weight, A=A)
-    extra = {
-        "mode": "solve",
         "el_residual": float(np.abs(res.values).max()),
         "box_bound": " ".join(fieldio._fmt(c) for c in adm.box),
     }
     for q in _Q_EXPONENTS:
-        extra[f"qnorm_{q:g}"] = ev.q_norms[q]
-    with writes:
-        fieldio.write_field(U, paths["field"])
-        fieldio.write_history(report.energy_history, report.pg_history, paths["history"])
-        fieldio.write_summary(_solve_summary(report, extra), paths["summary"])
-    return 0 if report.converged else 2
+        items[f"qnorm_{q:g}"] = ev.q_norms[q]
+    return {"field": U, "history": report, "summary": items}
 
 
-def _run_oracle(spec, paths, writes):
+def _run_oracle(spec, seed):
     grid, bdry = _grid_and_boundary(spec)
     if spec.source is not None:
         src = _from_spec("source evaluation", _source_field, grid, spec.source)
@@ -155,13 +149,10 @@ def _run_oracle(spec, paths, writes):
     }
     for q in _Q_EXPONENTS:
         items[f"qnorm_{q:g}"] = ev.q_norms[q]
-    with writes:
-        fieldio.write_field(U, paths["field"])
-        fieldio.write_summary(items, paths["summary"])
-    return 0
+    return {"field": U, "summary": items}
 
 
-def _run_sphere(spec, paths, writes):
+def _run_sphere(spec, seed):
     grid, bdry = _grid_and_boundary(spec)
     norms = np.linalg.norm(bdry.values, axis=-1)
     if norms.min() < 1e-8:
@@ -182,18 +173,11 @@ def _run_sphere(spec, paths, writes):
         "iterations_b": r2.report.iterations,
         "pole": " ".join(fieldio._fmt(c) for c in r1.pole.pole),
     }
-    base, ext = os.path.splitext(paths["field"])
-    hist_base, hist_ext = os.path.splitext(paths["history"])
-    with writes:
-        for r, tag in ((r1, "a"), (r2, "b")):
-            fieldio.write_field(r.mapped, f"{base}_{tag}{ext}")
-            fieldio.write_history(r.report.energy_history, r.report.pg_history,
-                                  f"{hist_base}_{tag}{hist_ext}")
-        fieldio.write_summary(items, paths["summary"])
-    return 0 if items["converged"] else 2
+    return {"field_a": r1.mapped, "history_a": r1.report,
+            "field_b": r2.mapped, "history_b": r2.report, "summary": items}
 
 
-def _run_halfspace(spec, paths, writes):
+def _run_halfspace(spec, seed):
     # solve_exhaustion checks the geometry and the box bound in the same
     # call as its solves, so every ValueError it raises counts as a spec
     # error; a non-finite energy in a solve is a FloatingPointError, which
@@ -224,15 +208,10 @@ def _run_halfspace(spec, paths, writes):
         items[f"iterations_{k}"] = rep.reports[k].iterations
     for k, d in enumerate(rep.window_diffs, start=1):
         items[f"window_diff_{k}"] = d
-    last = rep.reports[-1]
-    with writes:
-        fieldio.write_field(rep.window_fields[-1], paths["field"])
-        fieldio.write_history(last.energy_history, last.pg_history, paths["history"])
-        fieldio.write_summary(items, paths["summary"])
-    return 0 if rep.converged_all else 2
+    return {"field": rep.window_fields[-1], "history": rep.reports[-1], "summary": items}
 
 
-def _run_gradcheck(spec, paths, seed, writes):
+def _run_gradcheck(spec, seed):
     grid = _from_spec("grid", build_grid, spec.domain, spec.resolution)
     ncomp = spec.gradcheck_components
     w = spec.weight
@@ -256,14 +235,17 @@ def _run_gradcheck(spec, paths, seed, writes):
     denom = max(float(np.abs(analytic).max()), 1e-300)
     rel = float(np.abs(analytic - fd).max()) / denom
     print(f"gradcheck max relative error: {rel:.6e}")
-    ok = rel <= 1e-6
-    with writes:
-        fieldio.write_summary(
-            {"mode": "gradcheck", "converged": ok, "max_rel_error": rel,
-             "fd_step": step, "seed": seed, "components": ncomp},
-            paths["summary"],
-        )
-    return 0 if ok else 2
+    return {"summary": {"mode": "gradcheck", "converged": rel <= 1e-6, "max_rel_error": rel,
+                        "fd_step": step, "seed": seed, "components": ncomp}}
+
+
+_RUNNERS = {
+    "solve": _run_solve,
+    "oracle": _run_oracle,
+    "sphere": _run_sphere,
+    "halfspace": _run_halfspace,
+    "gradcheck": _run_gradcheck,
+}
 
 
 def main(argv=None) -> int:
@@ -273,12 +255,16 @@ def main(argv=None) -> int:
         "quasi-linear elliptic systems",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("solve", "oracle", "sphere", "halfspace", "gradcheck"):
+    for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--spec", required=True, help="problem spec file")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="seed for gradcheck fields")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; exit 2 means non-convergence here
+        return 3 if exc.code else 0
 
     try:
         with open(args.spec) as fh:
@@ -306,44 +292,28 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot create out dir: {exc}", file=sys.stderr)
         return 4
-    paths = _summary_paths(spec, args.out_dir)
 
     t0 = time.perf_counter()
-    writes = _Stopwatch()
-    failure = None
     try:
-        if spec.mode == "solve":
-            code = _run_solve(spec, paths, writes)
-        elif spec.mode == "oracle":
-            code = _run_oracle(spec, paths, writes)
-        elif spec.mode == "sphere":
-            code = _run_sphere(spec, paths, writes)
-        elif spec.mode == "halfspace":
-            code = _run_halfspace(spec, paths, writes)
-        else:
-            code = _run_gradcheck(spec, paths, args.seed, writes)
+        artifacts = _RUNNERS[spec.mode](spec, args.seed)
     except _RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (ValueError, ArithmeticError, ConvergenceError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
-        failure = {"mode": spec.mode, "converged": False, "error": str(exc)}
-        code = 2
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 4
+        artifacts = {"summary": {"mode": spec.mode, "converged": False, "error": str(exc)}}
 
+    writes = _Stopwatch()
     try:
-        if failure is not None:
-            with writes:
-                fieldio.write_summary(failure, paths["summary"])
-        with open(paths["timing"], "w") as fh:
+        with writes:
+            _write(spec.outputs, args.out_dir, artifacts)
+        with open(os.path.join(args.out_dir, TIMING_FILE), "w") as fh:
             fh.write(f"wall_time_s = {time.perf_counter() - t0:.6f}\n"
                      f"write_s = {writes.seconds:.6f}\n")
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4
-    return code
+    return 0 if artifacts["summary"]["converged"] else 2
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
         sup = u.sup_norm()
         report.sup_norms.append(sup)
         report.uniform_bound_ok &= sup <= box_sup
-        report.full_energies.append(energy(g, u, w).value)
+        report.full_energies.append(solve_rep.final_energy)
         report.competitor_energies.append(energy(g, phi_f, w).value)
 
         u_win = restrict(u, window)

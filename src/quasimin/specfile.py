@@ -12,13 +12,14 @@ alternative), a non-finite number or a repeated key is reported on its
 own line.  The domain, weight and solver options are then built from the
 converted values.  `_REQUIRED` lists the keys a mode needs and `_READERS`
 the modes that read each section.  `_KIND_KEYS` lists the keys each
-domain and weight kind reads.  Anything else is refused on its line, in
-line order.
+domain and weight kind reads, and `_FILES` the files each mode writes.
+Anything else is refused on its line, in line order.
 """
 
 from __future__ import annotations
 
 import difflib
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
@@ -31,6 +32,7 @@ from .optim import SolveOptions
 from .weights import Weight, WeightSpec, make_weight
 
 MODES = ("solve", "oracle", "sphere", "halfspace", "gradcheck")
+TIMING_FILE = "timing.txt"  # written by every run, next to the files of `_FILES`
 
 
 @dataclass
@@ -66,6 +68,7 @@ class ProblemSpec:
     source_damping: float = 1.0
     gradcheck_components: int = 2
     gradcheck_step: float = 1e-5
+    # file name by [output] key, sphere's pairs keyed `field_a` ... `history_b`
     outputs: dict = dataclass_field(default_factory=dict)
 
 
@@ -82,6 +85,7 @@ def _checked(convert, ok, message):
 
 
 _finite = _checked(float, np.isfinite, "expected a finite number")
+_file_name = _checked(str, bool, "expected a file name")
 
 
 def _floats(value: str) -> list[float]:
@@ -147,12 +151,24 @@ _KEYS = {
         int, lambda c: c >= 1, "gradcheck components must be >= 1"), "gradcheck_components"),
     ("gradcheck", "step"): ("gradcheck step", _checked(
         _finite, lambda s: s > 0, "gradcheck step must be positive"), "gradcheck_step"),
-    ("output", "field"): ("output name", str, None),
-    ("output", "summary"): ("output name", str, None),
-    ("output", "history"): ("output name", str, None),
+    ("output", "field"): ("output name", _file_name, None),
+    ("output", "summary"): ("output name", _file_name, None),
+    ("output", "history"): ("output name", _file_name, None),
 }
 _SECTIONS = {section for section, _ in _KEYS}
 _OUTPUTS = {"field": "solution.field", "summary": "summary.txt", "history": "history.csv"}
+
+# [output] key -> the suffixes of the files it names, for each mode.  Sphere
+# mode writes a field and a history per solution, with `_a` and `_b` put
+# before the extension.
+_ONE, _PAIR = ("",), ("_a", "_b")
+_FILES = {
+    "solve": {"field": _ONE, "history": _ONE, "summary": _ONE},
+    "oracle": {"field": _ONE, "summary": _ONE},
+    "sphere": {"field": _PAIR, "history": _PAIR, "summary": _ONE},
+    "halfspace": {"field": _ONE, "history": _ONE, "summary": _ONE},
+    "gradcheck": {"summary": _ONE},
+}
 
 # Keys a mode cannot run without.
 _REQUIRED = {
@@ -329,7 +345,21 @@ def parse_problem(text: str) -> ProblemSpec:
         fail(boundary_line, "sphere boundary needs at least two components")
 
     spec.solver = SolveOptions(**{k: v for k, v in values["solver"].items() if k != "box_bound"})
-    spec.outputs = {**_OUTPUTS, **values["output"]}
+    files = _FILES[mode]
+    for key in values["output"]:
+        if key not in files:
+            fail(lines[("output", key)], f"{mode} mode writes no {key}; drop it")
+    # default names first, then given ones in line order: a clash fails on the later line
+    owners = {TIMING_FILE: "timing"}
+    for key in sorted(files, key=lambda k: lines.get(("output", k), 0)):
+        base, ext = os.path.splitext(values["output"].get(key, _OUTPUTS[key]))
+        for suffix in files[key]:
+            name = base + suffix + ext
+            if name in owners:
+                fail(lines[("output", key)], f"{key} file {name!r} is also the {owners[name]} file")
+                break
+            owners[name] = key
+            spec.outputs[key + suffix] = name
     if diags:
         raise SpecError(diags)
     return spec

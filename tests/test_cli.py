@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,18 @@ def test_missing_spec_file(tmp_path, capsys):
     assert "cannot read spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["solve"], 3), (["bogus", "--spec", "p.cfg"], 3),
+     (["solve", "--spec", "p.cfg", "--seed", "abc"], 3), (["-h"], 0)],
+    ids=["no_spec", "unknown_mode", "bad_seed", "help"],
+)
+def test_usage_errors_exit_3_and_help_exits_0(capsys, argv, code):
+    # exit 2 is reserved for non-convergence
+    assert main(argv) == code
+    assert "usage: quasimin" in capsys.readouterr()[code == 3]
+
+
 def _raise_convergence(*args, **kwargs):
     raise ConvergenceError("transform inversion did not converge")
 
@@ -571,12 +584,52 @@ _PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 _DISK_CHART = (_PROBLEMS / "disk_chart.cfg").read_text()
 
 
+# the files each mode writes under the default names, besides timing.txt
+_MODE_FILES = {
+    "solve": {"solution.field", "history.csv", "summary.txt"},
+    "oracle": {"solution.field", "summary.txt"},
+    "sphere": {"solution_a.field", "solution_b.field", "history_a.csv", "history_b.csv",
+               "summary.txt"},
+    "halfspace": {"solution.field", "history.csv", "summary.txt"},
+    "gradcheck": {"summary.txt"},
+}
+
+
 @pytest.mark.parametrize("path", sorted(_PROBLEMS.glob("*.cfg")), ids=lambda p: p.stem)
 def test_shipped_problem_runs_and_converges(tmp_path, path):
     text = path.read_text()
-    code, out = run(tmp_path, path.name, text, parse_problem(text).mode)
+    mode = parse_problem(text).mode
+    code, out = run(tmp_path, path.name, text, mode)
     assert code == 0
     assert read_summary(out / "summary.txt")["converged"] == "true"
+    assert set(os.listdir(out)) == _MODE_FILES[mode] | {"timing.txt"}
+
+
+@pytest.mark.parametrize(
+    "text, mode, line, message",
+    [
+        (ORACLE_SPEC + "\n[output]\nhistory = h.csv\n", "oracle", "history = h.csv",
+         "oracle mode writes no history; drop it"),
+        (GRADCHECK_SPEC + "\n[output]\nfield = f.field\n", "gradcheck", "field = f.field",
+         "gradcheck mode writes no field; drop it"),
+        (SOLVE_SPEC + "\n[output]\nsummary = timing.txt\n", "solve", "summary = timing.txt",
+         "summary file 'timing.txt' is also the timing file"),
+        (SPHERE_SPEC + "\n[output]\nfield = h.csv\nhistory = h.csv\n", "sphere",
+         "history = h.csv", "history file 'h_a.csv' is also the field file"),
+        (SOLVE_SPEC + "\n[output]\nfield =\n", "solve", "field =",
+         "bad output name '': expected a file name"),
+    ],
+    ids=["oracle_history", "gradcheck_field", "timing_summary", "sphere_pair_clash",
+         "empty_field"],
+)
+def test_output_names_the_run_cannot_write_exit_3_on_their_line(tmp_path, capsys, text, mode,
+                                                                 line, message):
+    code, out = run(tmp_path, "o.cfg", text, mode)
+    assert code == 3
+    no = text.splitlines().index(line) + 1
+    assert capsys.readouterr().err.splitlines() == [f"spec error: line {no}: {message}"]
+    # refused before the run creates its out dir
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasimin import gaussian, solve_exhaustion
+from quasimin import energy, gaussian, halfspace, minimize, solve_exhaustion, sphere_chart
 
 
 def gauss_bump(p):
@@ -39,6 +39,26 @@ def test_gaussian_data_stabilizes():
     box_sup = float(rep.box_bound.max())
     for sup in rep.sup_norms:
         assert sup <= box_sup
+
+
+@pytest.mark.parametrize("w", [gaussian(1.0), sphere_chart(2.0)], ids=lambda w: w.label)
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_full_energy_is_each_solves_final_energy(monkeypatch, w, ncomp):
+    solves = []
+
+    def recorded(g, *args, **kwargs):
+        u, rep = minimize(g, *args, **kwargs)
+        solves.append((g, u))
+        return u, rep
+
+    monkeypatch.setattr(halfspace, "minimize", recorded)
+    phi = gauss_bump if ncomp == 1 else (
+        lambda p: np.stack([gauss_bump(p), 0.5 * np.tanh(p[..., 0])], axis=-1))
+    rep = solve_exhaustion(phi=phi, w=w, radii=[1, 2, 3], h=0.25, window=[(0, 0.5), (0, 0.5)])
+    assert len(solves) == 3
+    # the descent's last recorded energy is the energy of the field it returns
+    assert rep.full_energies == [r.final_energy for r in rep.reports]
+    assert rep.full_energies == [energy(g, u, w).value for g, u in solves]
 
 
 def test_window_fields_share_coordinates():

@@ -40,3 +40,34 @@ def test_perfbench_spans_bind_every_target():
     finally:
         patch.restore()
     assert (optim.poisson_dirichlet, oracle._neighbor_sum, cli.main) == before
+
+
+_SOLVE = """
+mode = solve
+
+[domain]
+extents = 0 1 ; 0 1
+resolution = 9 9
+
+[weight]
+kind = gaussian
+alpha = 1.0
+
+[boundary]
+values = x1 * x2
+"""
+
+
+def test_traced_cli_run_records_the_field_dump_bytes(tmp_path):
+    layers = _load_layers()
+    spec = tmp_path / "p.cfg"
+    spec.write_text(_SOLVE)
+    tracer = layers.Tracer()
+    assert tracer.install() == []
+    try:
+        code = cli.main(["solve", "--spec", str(spec), "--out-dir", str(tmp_path)])
+    finally:
+        tracer.restore()
+    assert code == 0
+    dumps = [info for name, _, _, _, info in tracer.take() if name == "fieldio.write_field"]
+    assert dumps == [{"bytes": (tmp_path / "solution.field").stat().st_size}]

@@ -104,6 +104,27 @@ def test_minimal_solve_spec_defaults():
     assert spec.outputs["summary"] == "summary.txt"
 
 
+def test_sphere_output_names_are_pairs():
+    text = """
+mode = sphere
+
+[domain]
+extents = 0 1
+resolution = 9
+
+[boundary]
+values = x1, 1
+
+[output]
+field = map.dump
+history = steps
+"""
+    assert parse_problem(text).outputs == {
+        "field_a": "map_a.dump", "field_b": "map_b.dump",
+        "history_a": "steps_a", "history_b": "steps_b", "summary": "summary.txt",
+    }
+
+
 def test_misspelled_section_names_nearest():
     text = MINIMAL.replace("[weight]", "[wieght]")
     with pytest.raises(SpecError) as err:
