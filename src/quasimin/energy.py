@@ -108,7 +108,7 @@ def sample_tensor(grid: Grid, A) -> np.ndarray | None:
         return None
     n, inner = grid.ndim, grid.interior_mask
     read = np.zeros(tuple(2 * d - 1 for d in grid.dims), dtype=bool)
-    read[half_index(n, range(n))] = cell_mask(grid)
+    read[half_index(n, range(n))] = grid.cell_mask
     read[half_index(n)] = inner
     for ax in range(n):
         lo, hi = successors(ax)
@@ -130,6 +130,15 @@ class EnergyValue:
     q_norms: dict[float, float] = dataclass_field(default_factory=dict)
 
 
+def _stencil(x: np.ndarray, ax: int, coefs) -> np.ndarray:
+    """One two-point stencil along axis ax: lo * x + hi * (x's successor)."""
+    lo, hi = coefs
+    first, second = successors(ax)
+    out = lo * x[first]
+    out += hi * x[second]
+    return out
+
+
 def cell_op(x: np.ndarray, coefs) -> np.ndarray:
     """Nodes -> cells: a tensor product of two-point stencils.
 
@@ -137,9 +146,8 @@ def cell_op(x: np.ndarray, coefs) -> np.ndarray:
     pair acts between each node and its successor along that axis.  (1/2,
     1/2) averages, (-1/h, 1/h) differences.  Trailing axes pass through.
     """
-    for ax, (lo, hi) in enumerate(coefs):
-        first, second = successors(ax)
-        x = lo * x[first] + hi * x[second]
+    for ax, pair in enumerate(coefs):
+        x = _stencil(x, ax, pair)
     return x
 
 
@@ -170,12 +178,6 @@ def cell_stencils(grid: Grid):
         coefs[i] = (-1.0 / h, 1.0 / h)
         diffs.append(coefs)
     return mean, diffs
-
-
-def cell_mask(grid: Grid) -> np.ndarray:
-    """The cells whose corners all lie in the domain."""
-    # exact in binary: the average of the corner flags is 1 only when all are
-    return cell_op(grid.in_mask, cell_stencils(grid)[0]) == 1.0
 
 
 def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
@@ -214,25 +216,52 @@ def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
     return coo.tocsc()
 
 
+def _term_sum(terms) -> np.ndarray:
+    """The sum of every column of the per-axis terms (..., N), one at a time in C order.
+
+    Axis by axis, column by column: the order np.sum(np.stack(terms, -2),
+    axis=(-2, -1)) takes, and so its bits, wherever there are at most 7
+    columns in all (numpy sums 8 or more pairwise).  That reduction over
+    two tiny trailing axes costs several times as much.
+    """
+    out = None
+    for t in terms:
+        for c in range(t.shape[-1]):
+            if out is None:
+                out = t[..., c].copy()
+            else:
+                out += t[..., c]
+    return out
+
+
 def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None):
     """Shared per-cell quantities for energy and gradient assembly.
 
     A is None or the coefficients a_i sampled by sample_tensor; the kernel
-    reads them at the cell midpoints.  Returns
-    (f_base per cell, weight e^{f_base} per cell, quadratic form per cell,
-    A-weighted gradient G with dQ/dDU = 2G, cell mask, cell average of U).
+    reads them at the cell midpoints.  Returns (f_base per cell, weight
+    e^{f_base} per cell, quadratic form Q per cell, the A-weighted
+    differences G_i (cells, N) per axis with dQ/dD_i U = 2 G_i, cell
+    average of U).  The average and the D_i apply their stencils in axis
+    order (cell_op), so each prefix is computed once: after axis k, ubar
+    holds the average along axes 0..k and D[i] the difference along i <= k
+    with averages along the others.
     """
     mean, diffs = cell_stencils(grid)
-    ubar = cell_op(values, mean)
-    D = np.stack([cell_op(values, d) for d in diffs], axis=-2)
-    cell_in = cell_mask(grid)
+    ubar, D = values, []
+    for ax in range(grid.ndim):
+        D = [_stencil(d, ax, mean[ax]) for d in D] + [_stencil(ubar, ax, diffs[ax][ax])]
+        ubar = _stencil(ubar, ax, mean[ax])
 
     fcell = w.f_base(ubar)
     wcell = np.exp(fcell)
 
-    G = D if A is None else A[half_index(grid.ndim, range(grid.ndim))][..., None] * D
-    Q = np.sum(D * G, axis=(-2, -1))
-    return fcell, wcell, Q, G, cell_in, ubar
+    if A is None:
+        G = D
+    else:
+        mids = A[half_index(grid.ndim, range(grid.ndim))]
+        G = [mids[..., i, None] * d for i, d in enumerate(D)]
+    Q = _term_sum(d * g for d, g in zip(D, G))
+    return fcell, wcell, Q, G, ubar
 
 
 def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
@@ -245,7 +274,8 @@ def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
     the weight's base function at the cell averages of the values.
     """
     A = sample_tensor(grid, A)
-    fcell, wcell, Q, G, cell_in, ubar = _cell_kernel(grid, values, w, A)
+    fcell, wcell, Q, G, ubar = _cell_kernel(grid, values, w, A)
+    cell_in = grid.cell_mask
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
 
     def grad() -> np.ndarray:
@@ -254,7 +284,7 @@ def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
         # e^{f(ubar)} reaches the nodes through the cell average
         out = cell_op_adjoint((base * Q)[..., None] * w.fprime(ubar), mean)
         for i, d in enumerate(diffs):
-            out += cell_op_adjoint(2.0 * base[..., None] * G[..., i, :], d)
+            out += cell_op_adjoint(2.0 * base[..., None] * G[i], d)
         out *= np.exp(w.shift)
         out[~grid.interior_mask] = 0.0
         return out
@@ -280,13 +310,12 @@ def energy(grid: Grid, U: Field, w: Weight,
     value, cells, _, _ = energy_raw(grid, U.values, w, A)
     q_norms = {}
     if q_exponents:
-        D = np.stack([cell_op(U.values, d) for d in cell_stencils(grid)[1]], axis=-2)
-        grad_sq = np.sum(D * D, axis=(-2, -1))
-        cell_in = cell_mask(grid)
+        D = [cell_op(U.values, d) for d in cell_stencils(grid)[1]]
+        grad_sq = _term_sum(d * d for d in D)
         for q in q_exponents:
             q = float(q)
             q_norms[q] = float(
-                (np.power(grad_sq, q / 2.0) * cell_in).sum() * grid.cell_volume
+                (np.power(grad_sq, q / 2.0) * grid.cell_mask).sum() * grid.cell_volume
             )
     return EnergyValue(value=value, cell_values=cells, q_norms=q_norms)
 
@@ -317,22 +346,22 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     A = sample_tensor(grid, A)
 
     f_node = w.f_base(vals)
-    grad_c = np.zeros(grid.dims + (grid.ndim, U.ncomp))
+    grad_c = [np.zeros_like(vals) for _ in range(grid.ndim)]
     div = np.zeros_like(vals)
     for ax in range(grid.ndim):
         lo, hi = successors(ax)
         # [lo][hi] holds the nodes with both neighbours along ax
-        grad_c[lo][hi][..., ax, :] = (vals[hi][hi] - vals[lo][lo]) / (2 * h[ax])
+        grad_c[ax][lo][hi] = (vals[hi][hi] - vals[lo][lo]) / (2 * h[ax])
         # the flux e^f a_ax d_ax U through each face between axis neighbours
         flux = np.exp(w.f_base(0.5 * (vals[lo] + vals[hi])))
         if A is not None:
             flux = flux * A[half_index(grid.ndim, (ax,))][..., ax]
         flux = flux[..., None] * (vals[hi] - vals[lo])
         div[lo][hi] += (flux[hi] - flux[lo]) / h[ax] ** 2
-    sq = grad_c * grad_c
+    sq = (g * g for g in grad_c)
     if A is not None:
-        sq = A[half_index(grid.ndim)][..., None] * sq
-    grad_sq = np.sum(sq, axis=(-2, -1))
+        sq = (A[half_index(grid.ndim)][..., ax, None] * s for ax, s in enumerate(sq))
+    grad_sq = _term_sum(sq)
     res = -np.exp(-f_node)[..., None] * div + 0.5 * w.fprime(vals) * grad_sq[..., None]
     res[~grid.interior_mask] = 0.0
     return Field(grid, U.ncomp, res)

@@ -119,7 +119,13 @@ class Grid:
         self.in_mask = node_class != EXTERIOR
         self.interior_mask = node_class == INTERIOR
         self.boundary_mask = node_class == BOUNDARY
-        for m in (self.in_mask, self.interior_mask, self.boundary_mask):
+        # the cells whose corners all lie in the domain
+        cell_mask = self.in_mask
+        for ax in range(self.ndim):
+            lo, hi = successors(ax)
+            cell_mask = cell_mask[lo] & cell_mask[hi]
+        self.cell_mask = cell_mask
+        for m in (self.in_mask, self.interior_mask, self.boundary_mask, self.cell_mask):
             m.setflags(write=False)
         # flat indices in row-major scan order (the canonical boundary order)
         self.boundary_indices = np.flatnonzero(self.boundary_mask.ravel())

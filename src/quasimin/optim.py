@@ -17,7 +17,10 @@ DST-I-preconditioned conjugate gradients elsewhere.  While no interior
 component sits on its box bound the descent steps along d = K_w^{-1} g /
 vol, with the BB1 length taken in the same metric, <s, vol K_w s> /
 <s, y>: a spectral projected gradient in H^1 (Birgin, Martinez and
-Raydan 2000), whose iteration count stays flat under refinement.  K_w =
+Raydan 2000), whose iteration count stays flat under refinement.  The
+first of these steps has length 1/2, the exact minimizer along d of the
+frozen-weight quadratic model (vol K_w d = g), so it needs no (s, y)
+pair and no bootstrap.  K_w =
 sum_i D_i^T diag(cell_in e^{f_base(ubar)} a_i) D_i, with a_i the
 coefficient tensor's entry along axis i, is the frozen-weight (Kacanov)
 linearization of -div(e^{f(U)} A grad U) for every component at once,
@@ -47,8 +50,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .energy import (CoefficientTensor, cell_mask, cell_op, cell_op_adjoint, cell_stencils,
-                     energy_raw, grad_raw, half_index, sample_tensor, weighted_laplacian)
+from .energy import (CoefficientTensor, cell_op, cell_op_adjoint, cell_stencils, energy_raw,
+                     grad_raw, half_index, sample_tensor, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -221,7 +224,7 @@ class _Metric:
         self.grid = grid
         self.A = None if A is None else A[half_index(grid.ndim, range(grid.ndim))]
         self.mean, self.diffs = cell_stencils(grid)
-        self.cell_in = cell_mask(grid)
+        self.cell_in = grid.cell_mask
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
         self.f_ref = None
         self.T, self.cs, self.inverse = 1.0, [], None
@@ -302,11 +305,12 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     stall = ""
     converged = pgn <= tol
     iters = 0
-    # step lengths per step kind, [plain, preconditioned]; each bootstraps
-    # with a small relative step, and BB takes over after the first (s, y)
-    # pair is available
-    scale = 1e-3 * (1.0 + float(np.abs(U).max()))
-    taus = [scale / (1.0 + pgn), None]
+    # step lengths per step kind, [plain, preconditioned], and BB takes
+    # over after the first (s, y) pair.  A plain step bootstraps with a
+    # small relative step.  A preconditioned one starts at 1/2, the exact
+    # minimizer along d of the frozen-weight model E - tau <g, d> +
+    # tau^2 vol <d, K_w d>, since vol K_w d = g
+    taus = [1e-3 * (1.0 + float(np.abs(U).max())) / (1.0 + pgn), 0.5]
     prev_taus = [1.0, 1.0]
     best_pg = pgn
     best_E = E
@@ -317,8 +321,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         if pre:
             metric.refresh(fb)
             d = metric.solve(g) / grid.cell_volume
-            if taus[1] is None:
-                taus[1] = scale / (1.0 + float(np.abs(d).max()))
         else:
             d = g
         tau = float(np.clip(taus[pre], _STEP_MIN, _STEP_MAX))

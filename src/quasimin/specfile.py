@@ -85,7 +85,10 @@ def _checked(convert, ok, message):
 
 
 _finite = _checked(float, np.isfinite, "expected a finite number")
-_file_name = _checked(str, bool, "expected a file name")
+# a name with a directory part, `.` or `..` would write outside --out-dir, or not at all
+_file_name = _checked(_checked(str, bool, "expected a file name"),
+                      lambda name: os.path.basename(name) == name and name not in (".", ".."),
+                      "expected a plain file name, with no directory part")
 
 
 def _floats(value: str) -> list[float]:

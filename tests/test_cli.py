@@ -618,9 +618,15 @@ def test_shipped_problem_runs_and_converges(tmp_path, path):
          "history = h.csv", "history file 'h_a.csv' is also the field file"),
         (SOLVE_SPEC + "\n[output]\nfield =\n", "solve", "field =",
          "bad output name '': expected a file name"),
+        ((_PROBLEMS / "square_gaussian.cfg").read_text() + "\n[output]\nfield = nodir/x.field\n",
+         "solve", "field = nodir/x.field",
+         "bad output name 'nodir/x.field': expected a plain file name, with no directory part"),
+        ((_PROBLEMS / "oracle_interval.cfg").read_text() + "\n[output]\nfield = ../escaped.field\n",
+         "oracle", "field = ../escaped.field",
+         "bad output name '../escaped.field': expected a plain file name, with no directory part"),
     ],
     ids=["oracle_history", "gradcheck_field", "timing_summary", "sphere_pair_clash",
-         "empty_field"],
+         "empty_field", "directory_part", "parent_directory"],
 )
 def test_output_names_the_run_cannot_write_exit_3_on_their_line(tmp_path, capsys, text, mode,
                                                                  line, message):

@@ -21,7 +21,8 @@ from quasimin import (
     sample_boundary,
     sphere_chart,
 )
-from quasimin.energy import cell_mask, energy_raw, grad_raw, half_index, sample_tensor
+from quasimin.energy import (cell_op, cell_op_adjoint, cell_stencils, energy_raw, grad_raw,
+                             half_index, sample_tensor)
 
 
 def square(n):
@@ -254,7 +255,7 @@ def test_sample_tensor_reads_the_points_the_formulas_read():
     assert np.array_equal(nodes[g.interior_mask], A.eval(g.points()[g.interior_mask]))
     assert (nodes[~g.interior_mask] == 1.0).all()
     mids = S[half_index(2, (0, 1))]
-    assert (mids[~cell_mask(g)] == 1.0).all() and (mids[cell_mask(g)] > 0.0).all()
+    assert (mids[~g.cell_mask] == 1.0).all() and (mids[g.cell_mask] > 0.0).all()
     assert sample_tensor(g, S) is S
     assert sample_tensor(g, CoefficientTensor.identity()) is None
 
@@ -273,3 +274,61 @@ def test_sampled_tensor_gives_the_bits_of_the_tensor():
     assert np.array_equal(U_a.values, U_s.values)
     assert np.array_equal(rep_a.energy_history, rep_s.energy_history)
     assert kkt_residual(g, U_a, w, adm, A) == kkt_residual(g, U_a, w, adm, S)
+
+
+def _reference_energy(grid, vals, w, A):
+    """energy_raw written plainly: stacked D, one np.sum over (-2, -1), the mask per call."""
+    mean, diffs = cell_stencils(grid)
+    ubar = cell_op(vals, mean)
+    D = np.stack([cell_op(vals, d) for d in diffs], axis=-2)
+    cell_in = cell_op(grid.in_mask, mean) == 1.0
+    fcell = w.f_base(ubar)
+    wcell = np.exp(fcell)
+    S = sample_tensor(grid, A)
+    G = D if S is None else S[half_index(grid.ndim, range(grid.ndim))][..., None] * D
+    Q = np.sum(D * G, axis=(-2, -1))
+    cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
+    base = (wcell * cell_in) * grid.cell_volume
+    grad = cell_op_adjoint((base * Q)[..., None] * w.fprime(ubar), mean)
+    for i, d in enumerate(diffs):
+        grad += cell_op_adjoint(2.0 * base[..., None] * G[..., i, :], d)
+    grad *= np.exp(w.shift)
+    grad[~grid.interior_mask] = 0.0
+    return float(cells.sum()), cells, grad, fcell
+
+
+_KERNEL_GRIDS = {
+    "1d": lambda: interval(9),
+    "box": lambda: square(7),
+    "disk": lambda: unit_disk(11),
+    "3d_box": lambda: build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (5, 7, 4)),
+    "half_ball": lambda: build_grid(DomainSpec.half_ball(1.0, 3), (9, 9, 5)),
+}
+
+
+@pytest.mark.parametrize("weight", [gaussian(1.0), sphere_chart(2.0)], ids=lambda w: w.label)
+@pytest.mark.parametrize("tensor", [False, True], ids=["iso", "tensor"])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(_KERNEL_GRIDS))
+def test_cell_kernel_matches_the_plain_reference(kind, ncomp, tensor, weight):
+    g = _KERNEL_GRIDS[kind]()
+    A = None
+    if tensor:
+        entries = [lambda p: 2.0 + p[..., 0] ** 2] + [0.5 + i for i in range(g.ndim - 1)]
+        A = CoefficientTensor.diagonal(entries)
+    vals = random_field(g, ncomp, seed=ncomp)
+    value, cells, grad, fb = energy_raw(g, vals, weight, A)
+    grad = grad()
+    want = _reference_energy(g, vals, weight, A)
+    # the cell averages take the same stencils in the same order
+    assert np.array_equal(fb, want[3])
+    if g.ndim * ncomp <= 7:
+        # |DU|^2 sums its n N terms in order, as np.sum does below 8
+        assert value == want[0]
+        assert np.array_equal(cells, want[1])
+        assert np.array_equal(grad, want[2])
+    else:
+        # np.sum adds 8 or more terms pairwise, the kernel still in order
+        assert abs(value - want[0]) <= 1e-15 * abs(want[0])
+        assert np.abs(cells - want[1]).max() <= 1e-15 * np.abs(want[1]).max()
+        assert np.abs(grad - want[2]).max() <= 1e-15 * np.abs(want[2]).max()

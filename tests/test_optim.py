@@ -22,8 +22,8 @@ from quasimin import (
     sample_boundary,
     solve_scalar_exact,
 )
-from quasimin.energy import cell_op, cell_stencils, grad_raw, weighted_laplacian
-from quasimin.optim import _Metric, box_laplacian_inverse
+from quasimin.energy import cell_op, cell_stencils, energy_raw, grad_raw, weighted_laplacian
+from quasimin.optim import _Metric, _project_values, box_laplacian_inverse
 from quasimin.oracle import lattice_laplacian_inverse
 from stencils import minus_laplacian
 
@@ -278,6 +278,25 @@ def test_iteration_count_is_mesh_independent_on_the_box():
         gaps.append(float(np.abs(u.values - solve_scalar_exact(g, w, bd).values).max()))
     assert max(iters) <= 1.3 * min(iters), iters
     assert gaps[1] / gaps[2] >= 3.5, gaps
+
+
+@pytest.mark.parametrize("n, most", [(65, 3), (129, 3), (257, 2)])
+def test_first_preconditioned_step_is_the_frozen_weight_minimizer(n, most):
+    # tau = 1/2 minimizes the frozen-weight model along d = K_w^{-1} g / vol
+    w = gaussian(1.0)
+    g = square(n)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
+    one, rep = minimize(g, w, adm, opts=SolveOptions(max_iters=1))
+    assert rep.preconditioned_steps == 1 and rep.backtracks == 0
+    U = _project_values(poisson_dirichlet(g, None, adm.boundary).values, g, adm)
+    _, _, grad, fb = energy_raw(g, U, w)
+    metric = _Metric(g, None)
+    metric.refresh(fb)
+    d = metric.solve(grad()) / g.cell_volume
+    assert np.array_equal(one.values, _project_values(U - 0.5 * d, g, adm))
+    u, rep = minimize(g, w, adm)
+    assert rep.converged and rep.iterations <= most, rep.iterations
+    assert kkt_residual(g, u, w, adm) <= rep.tol_pg
 
 
 def test_iteration_count_is_mesh_independent_on_the_weighted_box():
