@@ -7,10 +7,10 @@ weight e^{f} is evaluated at the cell average of U, and the contribution is
 e^{f} * Q(DU) * cell volume where Q is either |DU|^2 or sum_i a_i |D_i U|^2
 for the per-axis coefficients a_i(x) of a CoefficientTensor, the same for
 every component and read at the cell midpoint from the one evaluation of
-sample_tensor (see there for every point it covers).  D_i and the
-average are tensor products of 1D two-point stencils (cell_op), and the
-gradient applies their exact transposes (cell_op_adjoint).  The assembly is
-a fixed-order sum over cells, so results are bit-reproducible.  grad_energy
+sample_tensor (see there for every point it covers).  to_cells forms the
+average and every D_i in one pass of 1D two-point stencils, and the
+gradient applies its exact transpose, to_nodes.  The assembly is a
+fixed-order sum over cells, so results are bit-reproducible.  grad_energy
 returns the analytic partial derivatives of this discrete sum with respect
 to interior nodal values.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
@@ -36,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .grids import Field, Grid, successors
-from .weights import Weight
+from .weights import Weight, _term_sum
 
 
 @dataclass(frozen=True)
@@ -130,54 +129,53 @@ class EnergyValue:
     q_norms: dict[float, float] = dataclass_field(default_factory=dict)
 
 
-def _stencil(x: np.ndarray, ax: int, coefs) -> np.ndarray:
-    """One two-point stencil along axis ax: lo * x + hi * (x's successor)."""
-    lo, hi = coefs
+def _stencil(x: np.ndarray, ax: int, lo: float, hi: float) -> np.ndarray:
+    """Nodes -> cells along axis ax: lo * x + hi * (x's successor)."""
     first, second = successors(ax)
     out = lo * x[first]
     out += hi * x[second]
     return out
 
 
-def cell_op(x: np.ndarray, coefs) -> np.ndarray:
-    """Nodes -> cells: a tensor product of two-point stencils.
+def _spread(y: np.ndarray, ax: int, lo: float, hi: float) -> np.ndarray:
+    """Cells -> nodes along axis ax: the exact transpose of _stencil."""
+    shape = list(y.shape)
+    shape[ax] += 1
+    out = np.zeros(shape)
+    first, second = successors(ax)
+    out[first] = lo * y
+    out[second] += hi * y
+    return out
 
-    coefs holds one (lower, upper) weight pair per leading axis of x; the
-    pair acts between each node and its successor along that axis.  (1/2,
-    1/2) averages, (-1/h, 1/h) differences.  Trailing axes pass through.
+
+def to_cells(grid: Grid, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Nodes -> cells: (the cell average xbar, [D_0 x, ..., D_{n-1} x]).
+
+    D_i differences along axis i (-1/h_i, 1/h_i) and averages (1/2, 1/2)
+    along the others.  The stencils act in axis order, so each prefix is
+    computed once: after axis k, xbar holds the average along axes 0..k and
+    D[i] the difference along i <= k with averages along the others.
+    Trailing axes of x (components) pass through.
     """
-    for ax, pair in enumerate(coefs):
-        x = _stencil(x, ax, pair)
-    return x
+    xbar, D = x, []
+    for ax, h in enumerate(grid.spacing):
+        D = [_stencil(d, ax, 0.5, 0.5) for d in D] + [_stencil(xbar, ax, -1.0 / h, 1.0 / h)]
+        xbar = _stencil(xbar, ax, 0.5, 0.5)
+    return xbar, D
 
 
-def cell_op_adjoint(y: np.ndarray, coefs) -> np.ndarray:
-    """Cells -> nodes: the exact transpose of cell_op."""
-    for ax in reversed(range(len(coefs))):
-        lo, hi = coefs[ax]
-        shape = list(y.shape)
-        shape[ax] += 1
-        out = np.zeros(shape)
-        first, second = successors(ax)
-        out[first] = lo * y
-        out[second] += hi * y
-        y = out
-    return y
+def to_nodes(grid: Grid, ybar: np.ndarray, ys=()) -> np.ndarray:
+    """Cells -> nodes: mean^T ybar + sum_i D_i^T ys[i], the exact transpose of to_cells.
 
-
-def cell_stencils(grid: Grid):
-    """The cell average and the cell-averaged differences D_i of a grid.
-
-    Returns (mean, diffs): mean averages along every axis, and diffs[i]
-    differences along axis i and averages along the others.
+    Each term goes back to the nodes on its own, last axis first, and the
+    terms are added in the order mean, D_0, ..., D_{n-1}.
     """
-    mean = [(0.5, 0.5)] * grid.ndim
-    diffs = []
-    for i, h in enumerate(grid.spacing):
-        coefs = list(mean)
-        coefs[i] = (-1.0 / h, 1.0 / h)
-        diffs.append(coefs)
-    return mean, diffs
+    out = None
+    for i, y in enumerate(itertools.chain([ybar], ys), start=-1):
+        for ax, h in reversed(list(enumerate(grid.spacing))):
+            y = _spread(y, ax, -1.0 / h, 1.0 / h) if ax == i else _spread(y, ax, 0.5, 0.5)
+        out = y if out is None else np.add(out, y, out=out)
+    return out
 
 
 def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
@@ -187,15 +185,16 @@ def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
     grid.interior_indices.  The matrix is assembled from its 3^n node
     offsets directly, without forming D_i: each pair of corners (p, q) of
     a cell adds sum_i weights[i] D_i[p] D_i[q] to the entry of node p and
-    offset q - p.  Exact zeros are dropped.
+    offset q - p.  At corner p, D_i is (2 p_i - 1) / h_i along axis i and
+    1/2 along the others.  Exact zeros are dropped.
     """
-    _, diffs = cell_stencils(grid)
+    n = grid.ndim
     cells = tuple(d - 1 for d in grid.dims)
     bands = collections.defaultdict(lambda: np.zeros(grid.dims))
-    for p in itertools.product((0, 1), repeat=grid.ndim):
-        for q in itertools.product((0, 1), repeat=grid.ndim):
-            val = sum(c * math.prod(d[k][p[k]] * d[k][q[k]] for k in range(grid.ndim))
-                      for c, d in zip(weights, diffs))
+    for p in itertools.product((0, 1), repeat=n):
+        for q in itertools.product((0, 1), repeat=n):
+            val = sum(c * ((2 * p[i] - 1) * (2 * q[i] - 1) * (1 / h) * (1 / h) * 0.25 ** (n - 1))
+                      for i, (c, h) in enumerate(zip(weights, grid.spacing)))
             off = tuple(b - a for a, b in zip(p, q))
             bands[off][tuple(slice(a, a + m) for a, m in zip(p, cells))] += val
     index = np.full(grid.num_nodes, -1, dtype=np.int32)
@@ -216,24 +215,6 @@ def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
     return coo.tocsc()
 
 
-def _term_sum(terms) -> np.ndarray:
-    """The sum of every column of the per-axis terms (..., N), one at a time in C order.
-
-    Axis by axis, column by column: the order np.sum(np.stack(terms, -2),
-    axis=(-2, -1)) takes, and so its bits, wherever there are at most 7
-    columns in all (numpy sums 8 or more pairwise).  That reduction over
-    two tiny trailing axes costs several times as much.
-    """
-    out = None
-    for t in terms:
-        for c in range(t.shape[-1]):
-            if out is None:
-                out = t[..., c].copy()
-            else:
-                out += t[..., c]
-    return out
-
-
 def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None):
     """Shared per-cell quantities for energy and gradient assembly.
 
@@ -241,16 +222,9 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None
     reads them at the cell midpoints.  Returns (f_base per cell, weight
     e^{f_base} per cell, quadratic form Q per cell, the A-weighted
     differences G_i (cells, N) per axis with dQ/dD_i U = 2 G_i, cell
-    average of U).  The average and the D_i apply their stencils in axis
-    order (cell_op), so each prefix is computed once: after axis k, ubar
-    holds the average along axes 0..k and D[i] the difference along i <= k
-    with averages along the others.
+    average of U).
     """
-    mean, diffs = cell_stencils(grid)
-    ubar, D = values, []
-    for ax in range(grid.ndim):
-        D = [_stencil(d, ax, mean[ax]) for d in D] + [_stencil(ubar, ax, diffs[ax][ax])]
-        ubar = _stencil(ubar, ax, mean[ax])
+    ubar, D = to_cells(grid, values)
 
     fcell = w.f_base(ubar)
     wcell = np.exp(fcell)
@@ -279,12 +253,10 @@ def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
 
     def grad() -> np.ndarray:
-        mean, diffs = cell_stencils(grid)
         base = (wcell * cell_in) * grid.cell_volume
         # e^{f(ubar)} reaches the nodes through the cell average
-        out = cell_op_adjoint((base * Q)[..., None] * w.fprime(ubar), mean)
-        for i, d in enumerate(diffs):
-            out += cell_op_adjoint(2.0 * base[..., None] * G[i], d)
+        out = to_nodes(grid, (base * Q)[..., None] * w.fprime(ubar),
+                       (2.0 * base[..., None] * g for g in G))
         out *= np.exp(w.shift)
         out[~grid.interior_mask] = 0.0
         return out
@@ -310,8 +282,7 @@ def energy(grid: Grid, U: Field, w: Weight,
     value, cells, _, _ = energy_raw(grid, U.values, w, A)
     q_norms = {}
     if q_exponents:
-        D = [cell_op(U.values, d) for d in cell_stencils(grid)[1]]
-        grad_sq = _term_sum(d * d for d in D)
+        grad_sq = _term_sum(d * d for d in to_cells(grid, U.values)[1])
         for q in q_exponents:
             q = float(q)
             q_norms[q] = float(

@@ -57,7 +57,7 @@ def _half_ball_grid(radius: float, spacing: float, ndim: int) -> Grid:
     return build_grid(DomainSpec.half_ball(radius, ndim), resolution)
 
 
-def _as_field_fn(phi: Callable, ndim: int) -> Callable:
+def _as_field_fn(phi: Callable) -> Callable:
     def fn(points):
         out = np.asarray(phi(points), dtype=float)
         if out.ndim == points.ndim - 1:
@@ -94,7 +94,7 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
     if np.linalg.norm(corner) > r0 * (1 + 1e-12):
         raise ValueError("window leaves the smallest half-ball")
 
-    fn = _as_field_fn(phi, ndim)
+    fn = _as_field_fn(phi)
     grids = [_half_ball_grid(r, h, ndim) for r in radii]
     phi_fields = []
     for g in grids:

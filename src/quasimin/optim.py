@@ -27,12 +27,13 @@ linearization of -div(e^{f(U)} A grad U) for every component at once,
 rebuilt once f_base has moved by more than _REFACTOR_DF at some
 in-domain cell since the last build (_Metric).  On box grids the
 half-weight transform W' = e^{f/2} linearizes it to S K S, with K the
-cell-averaged Laplacian and S^2 the node mean of the cell weights, so
-S^{-1} K^{-1} S^{-1} costs one DST-I pair of
+cell-averaged Laplacian and S^2 the node mean of the cell weights
+(energy.to_nodes), so S^{-1} K^{-1} S^{-1} costs one DST-I pair of
 oracle.box_laplacian_inverse (the Sobolev gradient of Neuberger, with
 the weight).  On masked and half-ball grids K_w is assembled sparse and
-factored by LU.  While a bound is active the descent takes plain
-projected BB steps along g; each step kind keeps its own BB length.  A
+factored by LU.  The BB form <s, K_w s> sums the weighted squares of
+the D_i of energy.to_cells.  While a bound is active the descent takes
+plain projected BB steps along g; each step kind keeps its own BB length.  A
 coefficient tensor is sampled once per solve (energy.sample_tensor), and
 the energy and the metric read it at the cell midpoints.
 
@@ -50,8 +51,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .energy import (CoefficientTensor, cell_op, cell_op_adjoint, cell_stencils, energy_raw,
-                     grad_raw, half_index, sample_tensor, weighted_laplacian)
+from .energy import (CoefficientTensor, energy_raw, grad_raw, half_index, sample_tensor,
+                     to_cells, to_nodes, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -174,9 +175,9 @@ def _projected_gradient(values: np.ndarray, grad: np.ndarray,
     return pg
 
 
-def _scaled_block(lap_inv, mean, weights):
+def _scaled_block(grid, lap_inv, weights):
     """(S, 1, S^{-1} K^{-1} S^{-1}), S^2 the node mean of the axis-averaged weights."""
-    S = np.sqrt(cell_op_adjoint(sum(weights) / len(weights), mean))
+    S = np.sqrt(to_nodes(grid, sum(weights) / len(weights)))
     # where every adjacent cell weight underflows, S = 1 mirrors the unit
     # diagonal that K_w gives an empty row
     S[S == 0.0] = 1.0
@@ -223,7 +224,6 @@ class _Metric:
     def __init__(self, grid: Grid, A: np.ndarray | None):
         self.grid = grid
         self.A = None if A is None else A[half_index(grid.ndim, range(grid.ndim))]
-        self.mean, self.diffs = cell_stencils(grid)
         self.cell_in = grid.cell_mask
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
         self.f_ref = None
@@ -244,7 +244,7 @@ class _Metric:
         if self.lap_inv is None:
             self.T, self.cs, self.inverse = _factored_block(self.grid, weights)
         else:
-            self.T, self.cs, self.inverse = _scaled_block(self.lap_inv, self.mean, weights)
+            self.T, self.cs, self.inverse = _scaled_block(self.grid, self.lap_inv, weights)
         self.factorizations += 1
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -253,8 +253,8 @@ class _Metric:
 
     def form(self, s: np.ndarray) -> float:
         """<s, K_w s> for s zero off the interior; 0 before the first build."""
-        return float(sum(np.sum(c * cell_op(self.T * s, d) ** 2)
-                         for c, d in zip(self.cs, self.diffs)))
+        return float(sum(np.sum(c * d ** 2)
+                         for c, d in zip(self.cs, to_cells(self.grid, self.T * s)[1])))
 
 
 def _initial_values(grid: Grid, adm: AdmissibleSet, init: Field | None) -> np.ndarray:

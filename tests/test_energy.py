@@ -21,8 +21,9 @@ from quasimin import (
     sample_boundary,
     sphere_chart,
 )
-from quasimin.energy import (cell_op, cell_op_adjoint, cell_stencils, energy_raw, grad_raw,
-                             half_index, sample_tensor)
+from quasimin.energy import (energy_raw, grad_raw, half_index, sample_tensor, to_cells,
+                             to_nodes)
+from stencils import cell_op, cell_op_transpose
 
 
 def square(n):
@@ -278,10 +279,10 @@ def test_sampled_tensor_gives_the_bits_of_the_tensor():
 
 def _reference_energy(grid, vals, w, A):
     """energy_raw written plainly: stacked D, one np.sum over (-2, -1), the mask per call."""
-    mean, diffs = cell_stencils(grid)
-    ubar = cell_op(vals, mean)
-    D = np.stack([cell_op(vals, d) for d in diffs], axis=-2)
-    cell_in = cell_op(grid.in_mask, mean) == 1.0
+    h = grid.spacing
+    ubar = cell_op(vals, h)
+    D = np.stack([cell_op(vals, h, i) for i in range(grid.ndim)], axis=-2)
+    cell_in = cell_op(grid.in_mask, h) == 1.0
     fcell = w.f_base(ubar)
     wcell = np.exp(fcell)
     S = sample_tensor(grid, A)
@@ -289,9 +290,9 @@ def _reference_energy(grid, vals, w, A):
     Q = np.sum(D * G, axis=(-2, -1))
     cells = np.exp(w.shift) * grid.cell_volume * (wcell * Q * cell_in)
     base = (wcell * cell_in) * grid.cell_volume
-    grad = cell_op_adjoint((base * Q)[..., None] * w.fprime(ubar), mean)
-    for i, d in enumerate(diffs):
-        grad += cell_op_adjoint(2.0 * base[..., None] * G[..., i, :], d)
+    grad = cell_op_transpose((base * Q)[..., None] * w.fprime(ubar), h)
+    for i in range(grid.ndim):
+        grad += cell_op_transpose(2.0 * base[..., None] * G[..., i, :], h, i)
     grad *= np.exp(w.shift)
     grad[~grid.interior_mask] = 0.0
     return float(cells.sum()), cells, grad, fcell
@@ -304,6 +305,27 @@ _KERNEL_GRIDS = {
     "3d_box": lambda: build_grid(DomainSpec.box([(0, 1), (-1, 1), (0, 0.5)]), (5, 7, 4)),
     "half_ball": lambda: build_grid(DomainSpec.half_ball(1.0, 3), (9, 9, 5)),
 }
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("kind", ["1d", "box", "disk", "half_ball"])
+def test_to_nodes_is_the_transpose_of_to_cells(kind, ncomp):
+    g = _KERNEL_GRIDS[kind]()
+    rng = np.random.default_rng(7 + ncomp)
+    cells = tuple(d - 1 for d in g.dims) + (ncomp,)
+    x = rng.standard_normal(g.dims + (ncomp,))
+    ybar = rng.standard_normal(cells)
+    ys = [rng.standard_normal(cells) for _ in range(g.ndim)]
+    xbar, D = to_cells(g, x)
+    back = to_nodes(g, ybar, ys)
+    lhs = np.sum(xbar * ybar) + sum(np.sum(d * y) for d, y in zip(D, ys))
+    assert abs(lhs - np.sum(x * back)) <= 1e-13 * abs(lhs)
+    # the reference adjoint, summed in the same order, has the same bits
+    want = cell_op_transpose(ybar, g.spacing)
+    assert np.array_equal(to_nodes(g, ybar), want)
+    for i, y in enumerate(ys):
+        want += cell_op_transpose(y, g.spacing, i)
+    assert np.array_equal(back, want)
 
 
 @pytest.mark.parametrize("weight", [gaussian(1.0), sphere_chart(2.0)], ids=lambda w: w.label)

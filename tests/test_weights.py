@@ -36,6 +36,18 @@ def test_sphere_chart_closed_form():
     assert np.allclose(fp, [-2.0, 0.0])
 
 
+@pytest.mark.parametrize("ncomp", range(1, 8))
+def test_named_weights_sum_squares_as_np_sum_does(ncomp):
+    # |U|^2 summed column by column has the bits of np.sum below 8 columns
+    U = 3.0 * np.random.default_rng(ncomp).standard_normal((5, 4, ncomp))
+    sq = np.sum(U * U, axis=-1)
+    assert np.array_equal(gaussian(1.7).f_base(U), -1.7 * sq)
+    assert np.array_equal(gaussian(1.7).g_value(U), np.full(sq.shape, 3.4))
+    w = sphere_chart(2.0)
+    assert np.array_equal(w.f_base(U), -2.0 * np.log(0.5 * (1.0 + sq)))
+    assert np.array_equal(w.g_value(U), 4.0 / (1.0 + sq))
+
+
 def test_constant_weight():
     w = constant(0.0)
     U = np.array([3.0, -4.0])
