@@ -307,6 +307,26 @@ def test_oracle_mode(tmp_path):
     assert field.values[16, 0] == pytest.approx(0.4418, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "values, source, ends",
+    [("-9 * (1 - x1)", None, (-9.0, -0.0)), ("9 * x1", None, (0.0, 9.0)),
+     ("-6 * (1 - x1)", None, (-6.0, -0.0)), ("-6 * (1 - x1)", "1", (-6.0, -0.0))],
+    ids=["flat_table_end", "steep_data", "moderate_data", "picard"],
+)
+def test_oracle_dump_holds_the_data_on_the_boundary(tmp_path, values, source, ends):
+    # the first spec's table is flat at its lower end, where the inverse's
+    # linear start once divided 0 by 0; the boundary rows are phi itself,
+    # not W^{-1}(W(phi)), which read 8.1640625 for phi = 9
+    text = (_PROBLEMS / "oracle_interval.cfg").read_text().replace(
+        "values = x1", f"values = {values}")
+    if source is not None:
+        text += f"\n[source]\nvalues = {source}\n"
+    code, out = run(tmp_path, "o.cfg", text, "oracle")
+    assert code == 0
+    field, _ = read_field(out / "solution.field")
+    assert [v.hex() for v in field.values[[0, -1], 0]] == [v.hex() for v in ends]
+
+
 def test_sphere_mode_summary(tmp_path):
     code, out = run(tmp_path, "s.cfg", SPHERE_SPEC, "sphere")
     assert code == 0

@@ -24,6 +24,7 @@ from quasimin import (
     sample_boundary,
     solve_scalar_exact,
     solve_scalar_source,
+    sphere_chart,
 )
 from quasimin import oracle
 from quasimin.grids import BoundaryData
@@ -334,3 +335,88 @@ def test_table_refuses_arguments_outside_its_range():
         table.forward(np.array([1.5]))
     with pytest.raises(ValueError, match="value leaves the transform table range"):
         table.inverse(np.array([table.w_max + 1.0]))
+
+
+@pytest.mark.parametrize(
+    "weight, bound",
+    [(gaussian(1.0), 3.0), (gaussian(10.0), 1.0), (sphere_chart(2.0), 6.0)],
+    ids=["gaussian_1", "gaussian_10", "sphere_chart_2"],
+)
+def test_inverse_estimate_matches_the_checked_inverse(weight, bound):
+    # the table solve_scalar_exact builds for data with max |phi| = bound
+    table = TransformTable(weight, 2.0 * (1.0 + 2.0 * bound))
+    w = table.forward(np.linspace(-bound, bound, 20001))
+    assert np.abs(table.inverse_estimate(w) - table.inverse(w)).max() <= 1e-13
+
+
+def test_inverse_estimate_where_the_hermite_slopes_overflow():
+    # e^{-f/2} overflows for |u| > 37.7, so the outer intervals start
+    # linearly; the table's ends are flat in w
+    table = TransformTable(gaussian(1.0), 38.0)
+    w = np.linspace(table.w_min, table.w_max, 20001)
+    u = table.inverse_estimate(w)
+    assert np.abs(table.forward(u) - w).max() <= 1e-13
+    assert table.inverse_estimate(np.array([table.w_min]))[0] == -38.0
+    # the intervals are 2.7 times as wide as on the range-14 table above,
+    # so the Hermite start and its one Newton step are coarser in u:
+    # 1.2e-12 measured
+    w = table.forward(np.linspace(-3.0, 3.0, 20001))
+    assert np.abs(table.inverse_estimate(w) - table.inverse(w)).max() <= 1e-11
+
+
+def _picard_with_the_checked_inverse(grid, weight, bdry, h, damping):
+    """solve_scalar_source's loop, with table.inverse at every step."""
+    hmax = float(np.abs(h.values[grid.in_mask]).max())
+    table = TransformTable(weight, oracle.default_table_range(bdry) + hmax)
+    wb = table.boundary_values(bdry)
+    v = poisson_dirichlet(grid, None, wb).values[..., 0]
+    theta, prev = damping, np.inf
+    for k in range(1, 501):
+        u = table.inverse(np.where(grid.in_mask, v, 0.0))
+        rhs = SourceField(grid, np.exp(0.5 * weight.f_total(u[..., None])) * h.values)
+        v_next = (1.0 - theta) * v + theta * poisson_dirichlet(grid, rhs, wb).values[..., 0]
+        resid = float(np.abs((v_next - v)[grid.in_mask]).max())
+        v = v_next
+        if resid <= 1e-10:
+            u = np.where(grid.in_mask, table.inverse(np.where(grid.in_mask, v, 0.0)), 0.0)
+            u.reshape(-1)[grid.boundary_indices] = bdry.values[:, 0]
+            return u, k
+        if resid > prev:
+            theta *= 0.5
+        prev = resid
+    raise AssertionError("reference Picard loop did not converge")
+
+
+@pytest.mark.parametrize(
+    "domain, weight, damping, tol",
+    [(DomainSpec.box([(-1, 1), (-1, 1)]), gaussian(1.0), 1.0, 1e-13),
+     (DomainSpec.box([(-1, 1), (-1, 1)]), sphere_chart(2.0), 1.0, 1e-13),
+     # each masked Poisson solve stops at a 1e-12 relative CG residual, so
+     # one ulp in a step's source moves its answer by up to that, and over
+     # 30 damped steps the reference loop itself moves by 5.7e-13 when its
+     # inverse is perturbed by one ulp; the estimate moved it by 6.2e-13
+     (_disk(), gaussian(1.0), 0.5, 2e-12)],
+    ids=["box_gaussian", "box_sphere_chart", "disk_damped"],
+)
+def test_picard_matches_a_loop_with_the_checked_inverse(domain, weight, damping, tol):
+    g = build_grid(domain, (65, 65))
+    bd = sample_boundary(g, lambda p: p[:, 0] + 0.5 * p[:, 1] ** 2)
+    h = SourceField(g, np.where(g.in_mask, 1.0, 0.0))
+    u, steps = solve_scalar_source(g, weight, bd, h, damping=damping)
+    want, want_steps = _picard_with_the_checked_inverse(g, weight, bd, h, damping)
+    assert steps == want_steps
+    assert np.abs(u.values[..., 0] - want).max() <= tol
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.box([(-1, 1), (-1, 1)]), _disk()],
+                         ids=["box", "disk"])
+def test_exact_solver_interior_is_the_checked_inverse(domain):
+    g = build_grid(domain, (33, 33))
+    bd = sample_boundary(g, lambda p: 0.9 * p[:, 0] * p[:, 1] + 0.3)
+    weight = gaussian(1.0)
+    u = solve_scalar_exact(g, weight, bd).values[..., 0]
+    table = TransformTable(weight, oracle.default_table_range(bd))
+    v = poisson_dirichlet(g, None, table.boundary_values(bd)).values[..., 0]
+    want = table.inverse(v)
+    assert np.array_equal(u[g.interior_mask], want[g.interior_mask])
+    assert np.array_equal(u.reshape(-1)[g.boundary_indices], bd.values[:, 0])
