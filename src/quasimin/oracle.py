@@ -24,7 +24,8 @@ Newton iteration on the tabulated monotone values, checked to a 1e-15
 relative residual.  A Picard step needs u only as accurately as the
 iteration's own stop (inexact Newton: Dembo, Eisenstat and Steihaug
 1982), so the steps take an unchecked estimate, a cubic Hermite start and
-one Newton step, at a third of the cost; the answer takes the checked
+one Newton step, at a third of the cost.  The estimate's error is not
+bounded, so the iteration stops only on a step taken with the checked
 inverse.
 """
 
@@ -85,10 +86,9 @@ class TransformTable:
 
     inverse is the checked W^{-1}: a linear start on the table interval,
     then Newton steps until the residual in w is at most 1e-15 (1 + |w|).
-    inverse_estimate costs one forward and checks nothing.  It agrees with
-    inverse to about 1e-14 while the table's intervals are short against
-    the scale of f, and coarsens as they widen: on |u| <= 3 for
-    gaussian(1), 2e-14 on a table of range 14, 1.2e-12 at range 38.
+    inverse_estimate costs one forward and checks nothing.  Its error
+    grows with the interval width times the slope of f: on |u| <= 3 for
+    gaussian(1), 2e-14 on a table of range 14 and 1.2e-12 at range 38.
     """
 
     def __init__(self, weight: Weight, range_m: float):
@@ -112,11 +112,10 @@ class TransformTable:
         w[:mid] = -np.cumsum(seg[:mid][::-1])[::-1]
         self.table_w = w
         # du/dw = e^{-f/2} at the nodes, the slopes of inverse_estimate's
-        # cubic Hermite start; it overflows where f/2 < -709, and the
-        # intervals next to such a node start linearly
-        steep = fhalf < -709.0
-        self._dudw = np.exp(-np.where(steep, 0.0, fhalf))
-        self._linear = steep[:-1] | steep[1:]
+        # cubic Hermite start, clamped where it would overflow; W is flat
+        # in double precision next to such a node, so the clamped slope
+        # meets a width dw of 0 or a few ulps
+        self._dudw = np.exp(-np.maximum(fhalf, -709.0))
 
     def _f_scalar(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -191,10 +190,16 @@ class TransformTable:
         """
         wc, k, lo, hi, dw, t = self._bracket(w)
         s = 1.0 - t
-        cubic = lo + t * t * (3.0 - 2.0 * t) * (hi - lo) + dw * t * s * (
-            s * self._dudw[k] - t * self._dudw[k + 1])
-        u = np.clip(np.where(self._linear[k], lo + t * (hi - lo), cubic), lo, hi)
-        return np.clip(u - (self.forward(u) - wc) / self._density(u), lo, hi)
+        u = np.clip(lo + t * t * (3.0 - 2.0 * t) * (hi - lo) + dw * t * s * (
+            s * self._dudw[k] - t * self._dudw[k + 1]), lo, hi)
+        resid = self.forward(u) - wc
+        density = self._density(u)
+        # a step at least as long as the interval is clipped to one of its
+        # ends; taking that end without the division keeps a density that
+        # underflows to 0 from making 0/0 or r/0
+        step = np.divide(resid, density, out=np.sign(resid) * (hi - lo),
+                         where=np.abs(resid) < density * (hi - lo))
+        return np.clip(u - step, lo, hi)
 
     def boundary_values(self, boundary: BoundaryData) -> BoundaryData:
         """W applied to scalar Dirichlet data."""
@@ -365,17 +370,19 @@ def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData) -> Field:
     """
     table = TransformTable(f, default_table_range(boundary))
     wfield = poisson_dirichlet(grid, None, table.boundary_values(boundary))
-    return _invert(table, wfield.values[..., 0], boundary)
+    return _holding_data(table.inverse(np.where(grid.in_mask, wfield.values[..., 0], 0.0)),
+                         boundary)
 
 
-def _invert(table: TransformTable, v: np.ndarray, boundary: BoundaryData) -> Field:
-    """The field W^{-1}(v) by the checked inverse, holding phi on the boundary.
+def _holding_data(u: np.ndarray, boundary: BoundaryData) -> Field:
+    """The field u, 0 off the domain and phi on its boundary nodes.
 
-    The whole domain is inverted, boundary nodes too, so the interior bits
-    and the Newton count do not depend on the data written over them.
+    The solvers invert the whole domain, boundary nodes too, so the
+    interior bits and the Newton count do not depend on the data written
+    over them.
     """
     grid = boundary.grid
-    u = np.where(grid.in_mask, table.inverse(np.where(grid.in_mask, v, 0.0)), 0.0)
+    u = np.where(grid.in_mask, u, 0.0)
     u.reshape(-1)[grid.boundary_indices] = boundary.values[:, 0]
     return Field(grid, 1, u[..., None])
 
@@ -386,12 +393,15 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
 
     Iterates v_{k+1} = (1-theta) v_k + theta * solve(-Delta v = e^{f(u_k)/2} h)
     with u_k = W^{-1}(v_k), starting from the harmonic extension of W(phi).
-    The damping is halved whenever the step residual grows.  The iteration
-    stops once a step moves v by at most _PICARD_TOL and fails after
-    _PICARD_MAX_ITERS steps.  Each step takes u_k from
-    TransformTable.inverse_estimate, within about 1e-14 of the checked
-    inverse and far inside _PICARD_TOL; the returned u is the checked
-    W^{-1}(v) on the domain and phi on its boundary nodes.
+    The damping is halved whenever the step residual grows.  The steps
+    take u_k from TransformTable.inverse_estimate until one moves v by at
+    most _PICARD_TOL; from then on they take the checked inverse, and the
+    first of those that moves v by at most _PICARD_TOL ends the iteration.
+    An estimate's error shifts the fixed point the steps approach, so the
+    one step with the checked inverse verifies the answer, or the checked
+    steps go on to the true fixed point.  Returns that step's u_k, phi on
+    the boundary nodes, and the number of steps; fails after
+    _PICARD_MAX_ITERS steps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -402,16 +412,20 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
 
     theta = damping
     prev_resid = np.inf
+    checked = False
     for k in range(1, _PICARD_MAX_ITERS + 1):
-        u = table.inverse_estimate(np.where(grid.in_mask, v, 0.0))
+        invert = table.inverse if checked else table.inverse_estimate
+        u = invert(np.where(grid.in_mask, v, 0.0))
         scale = np.exp(0.5 * f.f_total(u[..., None]))
         rhs = SourceField(grid, scale * h.values)
         v_raw = poisson_dirichlet(grid, rhs, wb).values[..., 0]
         v_next = (1.0 - theta) * v + theta * v_raw
         resid = float(np.abs((v_next - v)[grid.in_mask]).max())
-        v = v_next
         if resid <= _PICARD_TOL:
-            return _invert(table, v, boundary), k
+            if checked:
+                return _holding_data(u, boundary), k
+            checked = True
+        v = v_next
         if resid > prev_resid:
             theta *= 0.5
         prev_resid = resid

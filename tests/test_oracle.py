@@ -350,8 +350,8 @@ def test_inverse_estimate_matches_the_checked_inverse(weight, bound):
 
 
 def test_inverse_estimate_where_the_hermite_slopes_overflow():
-    # e^{-f/2} overflows for |u| > 37.7, so the outer intervals start
-    # linearly; the table's ends are flat in w
+    # e^{-f/2} overflows for |u| > 37.7, so the outer slopes are clamped;
+    # the table's ends are flat in w
     table = TransformTable(gaussian(1.0), 38.0)
     w = np.linspace(table.w_min, table.w_max, 20001)
     u = table.inverse_estimate(w)
@@ -362,6 +362,26 @@ def test_inverse_estimate_where_the_hermite_slopes_overflow():
     # 1.2e-12 measured
     w = table.forward(np.linspace(-3.0, 3.0, 20001))
     assert np.abs(table.inverse_estimate(w) - table.inverse(w)).max() <= 1e-11
+
+
+def test_inverse_estimate_where_the_density_underflows():
+    # f/2 falls from 0 to -750 over the table's first interval, so
+    # e^{f/2} is 0 at its lower end: the Newton step there sees 0/0
+    m = 1.0
+    width = 2.0 * m / (oracle._TABLE_NODES - 1)
+    ramp = custom(f=lambda U: -1500.0 * np.maximum(0.0, (-U[..., 0] - m + width) / width),
+                  g=lambda U: np.zeros(U.shape[:-1]))
+    table = TransformTable(ramp, m)
+    assert table._density(np.array([-m]))[0] == 0.0
+    w = np.concatenate([np.linspace(table.table_w[0], table.table_w[1], 11),
+                        np.linspace(table.w_min, table.w_max, 1001)])
+    u = table.inverse_estimate(w)
+    assert u[0] == -m
+    assert np.abs(table.forward(u) - w).max() <= 1e-7
+
+
+def _mixed_data(p):
+    return p[:, 0] + 0.5 * p[:, 1] ** 2
 
 
 def _picard_with_the_checked_inverse(grid, weight, bdry, h, damping):
@@ -388,24 +408,48 @@ def _picard_with_the_checked_inverse(grid, weight, bdry, h, damping):
 
 
 @pytest.mark.parametrize(
-    "domain, weight, damping, tol",
-    [(DomainSpec.box([(-1, 1), (-1, 1)]), gaussian(1.0), 1.0, 1e-13),
-     (DomainSpec.box([(-1, 1), (-1, 1)]), sphere_chart(2.0), 1.0, 1e-13),
+    "domain, weight, data, source, damping, tol",
+    [(DomainSpec.box([(-1, 1), (-1, 1)]), gaussian(1.0), _mixed_data, 1.0, 1.0, 1e-13),
+     (DomainSpec.box([(-1, 1), (-1, 1)]), sphere_chart(2.0), _mixed_data, 1.0, 1.0, 1e-13),
      # each masked Poisson solve stops at a 1e-12 relative CG residual, so
      # one ulp in a step's source moves its answer by up to that, and over
      # 30 damped steps the reference loop itself moves by 5.7e-13 when its
      # inverse is perturbed by one ulp; the estimate moved it by 6.2e-13
-     (_disk(), gaussian(1.0), 0.5, 2e-12)],
-    ids=["box_gaussian", "box_sphere_chart", "disk_damped"],
+     (_disk(), gaussian(1.0), _mixed_data, 1.0, 0.5, 2e-12),
+     # gaussian(10) underflows past |u| = 12.2, so range 12.1 is about the
+     # widest table it builds; the estimate is 8.6e-12 off on |u| <= 1.5
+     # and 7.8e-4 off near |u| = 2.5, where e^{f/2} is 4e-14
+     (DomainSpec.box([(-1, 1), (-1, 1)]), gaussian(10.0), lambda p: 2.5 * p[:, 0], 0.1,
+      1.0, 1e-13)],
+    ids=["box_gaussian", "box_sphere_chart", "disk_damped", "box_gaussian_10_wide_table"],
 )
-def test_picard_matches_a_loop_with_the_checked_inverse(domain, weight, damping, tol):
+def test_picard_matches_a_loop_with_the_checked_inverse(domain, weight, data, source,
+                                                        damping, tol):
     g = build_grid(domain, (65, 65))
-    bd = sample_boundary(g, lambda p: p[:, 0] + 0.5 * p[:, 1] ** 2)
-    h = SourceField(g, np.where(g.in_mask, 1.0, 0.0))
+    bd = sample_boundary(g, data)
+    h = SourceField(g, np.where(g.in_mask, source, 0.0))
     u, steps = solve_scalar_source(g, weight, bd, h, damping=damping)
     want, want_steps = _picard_with_the_checked_inverse(g, weight, bd, h, damping)
-    assert steps == want_steps
+    # one more step, with the checked inverse, verifies the answer
+    assert steps == want_steps + 1
     assert np.abs(u.values[..., 0] - want).max() <= tol
+
+
+@pytest.mark.parametrize("domain, damping", [(DomainSpec.box([(-1, 1), (-1, 1)]), 1.0),
+                                             (_disk(), 0.5)], ids=["box", "disk_damped"])
+def test_picard_answer_does_not_take_the_estimate_error(monkeypatch, domain, damping):
+    # an estimate 1e-6 off in u moves the steps' fixed point by 1.5e-7 on
+    # the box; the checked steps that follow take the answer back to within
+    # the stop's reach of the checked loop's (1.4e-10 and 4.0e-10 measured)
+    monkeypatch.setattr(TransformTable, "inverse_estimate",
+                        lambda self, w: self.inverse(w) + 1e-6)
+    g = build_grid(domain, (65, 65))
+    bd = sample_boundary(g, _mixed_data)
+    h = SourceField(g, np.where(g.in_mask, 1.0, 0.0))
+    u, steps = solve_scalar_source(g, gaussian(1.0), bd, h, damping=damping)
+    want, want_steps = _picard_with_the_checked_inverse(g, gaussian(1.0), bd, h, damping)
+    assert steps > want_steps + 1
+    assert np.abs(u.values[..., 0] - want).max() <= 1e-9
 
 
 @pytest.mark.parametrize("domain", [DomainSpec.box([(-1, 1), (-1, 1)]), _disk()],
