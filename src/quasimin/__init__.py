@@ -48,11 +48,9 @@ from .sphere import (
 from .weights import (
     Weight,
     WeightReport,
-    WeightSpec,
     constant,
     custom,
     gaussian,
-    make_weight,
     sphere_chart,
     validate_weight,
 )

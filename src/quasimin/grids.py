@@ -28,34 +28,19 @@ _ALIGN_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Geometric description of a computational domain.
+    """A box, one (lo, hi) interval per axis, carved down by an optional mask.
 
-    kind is "box", "masked_box", or "half_ball".  extents holds one (lo, hi)
-    interval per axis; mask (masked_box only) is a vectorized predicate on
-    point arrays of shape (..., n); radius applies to half_ball only.
+    mask is a vectorized predicate on point arrays of shape (..., n); None
+    keeps the whole box.
     """
 
-    kind: str
     extents: tuple[tuple[float, float], ...]
     mask: Callable[[np.ndarray], np.ndarray] | None = None
-    radius: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("box", "masked_box", "half_ball"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
         for lo, hi in self.extents:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"degenerate extent ({lo}, {hi})")
-        if self.kind == "half_ball":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("half_ball requires radius > 0")
-            r = self.radius
-            for k, (lo, hi) in enumerate(self.extents):
-                need_lo = 0.0 if k == len(self.extents) - 1 else -r
-                if lo > need_lo or hi < r:
-                    raise ValueError("bounding box does not cover the half-ball")
-        if self.kind == "masked_box" and self.mask is None:
-            raise ValueError("masked_box requires a mask predicate")
 
     @property
     def ndim(self) -> int:
@@ -63,13 +48,11 @@ class DomainSpec:
 
     @staticmethod
     def box(extents: Sequence[Sequence[float]]) -> "DomainSpec":
-        return DomainSpec("box", tuple((float(a), float(b)) for a, b in extents))
+        return DomainSpec(tuple((float(a), float(b)) for a, b in extents))
 
     @staticmethod
     def masked_box(extents: Sequence[Sequence[float]], mask) -> "DomainSpec":
-        return DomainSpec(
-            "masked_box", tuple((float(a), float(b)) for a, b in extents), mask=mask
-        )
+        return DomainSpec(tuple((float(a), float(b)) for a, b in extents), mask)
 
     @staticmethod
     def half_ball(radius: float, ndim: int) -> "DomainSpec":
@@ -80,17 +63,17 @@ class DomainSpec:
         if ndim < 1:
             raise ValueError("ndim must be >= 1")
         extents = tuple((-radius, radius) for _ in range(ndim - 1)) + ((0.0, radius),)
-        return DomainSpec("half_ball", extents, radius=radius)
+        rad2_max, tol = radius * radius * (1.0 + 1e-12), 1e-12 * radius
+
+        def inside(points):
+            return (np.sum(points**2, axis=-1) <= rad2_max) & (points[..., -1] >= -tol)
+
+        return DomainSpec(extents, inside)
 
     def membership(self, points: np.ndarray) -> np.ndarray:
         """Boolean in-domain test at points of shape (..., n)."""
-        if self.kind == "box":
+        if self.mask is None:
             return np.ones(points.shape[:-1], dtype=bool)
-        if self.kind == "half_ball":
-            r = self.radius
-            tol = 1e-12 * r
-            rad2 = np.sum(points**2, axis=-1)
-            return (rad2 <= r * r * (1.0 + 1e-12)) & (points[..., -1] >= -tol)
         out = np.asarray(self.mask(points))
         if out.shape != points.shape[:-1]:
             out = np.broadcast_to(out, points.shape[:-1])

@@ -165,14 +165,18 @@ def project_admissible(U: Field, adm: AdmissibleSet) -> Field:
 
 
 def _projected_gradient(values: np.ndarray, grad: np.ndarray,
-                        grid: Grid, adm: AdmissibleSet) -> np.ndarray:
+                        grid: Grid, adm: AdmissibleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The projected gradient, and the mask of the interior components on their bound."""
     pg = grad.copy()
     at_hi = values >= adm.box
     at_lo = values <= -adm.box
     pg[at_hi & (pg < 0)] = 0.0
     pg[at_lo & (pg > 0)] = 0.0
-    pg[~grid.interior_mask] = 0.0
-    return pg
+    off = ~grid.interior_mask
+    pg[off] = 0.0
+    at = at_hi | at_lo
+    at[off] = False
+    return pg, at
 
 
 def _scaled_block(grid, lap_inv, weights):
@@ -265,13 +269,6 @@ def _initial_values(grid: Grid, adm: AdmissibleSet, init: Field | None) -> np.nd
     return init.values
 
 
-def _at_bound(values: np.ndarray, grid: Grid, adm: AdmissibleSet) -> np.ndarray:
-    """Mask of the interior components that sit on their box bound."""
-    at = (values >= adm.box) | (values <= -adm.box)
-    at[~grid.interior_mask] = False
-    return at
-
-
 def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
              A: CoefficientTensor | np.ndarray | None = None,
              opts: SolveOptions | None = None) -> tuple[Field, SolveReport]:
@@ -293,7 +290,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     if not np.isfinite(E):
         raise FloatingPointError("initial energy is not finite")
     g = grad()
-    pg = _projected_gradient(U, g, grid, adm)
+    pg, at = _projected_gradient(U, g, grid, adm)
     pgn = float(np.abs(pg).max())
     tol = opts.tol_pg if opts.tol_pg is not None else (opts.tol_factor or _TOL_FACTOR) * (1.0 + E)
 
@@ -317,7 +314,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     last_progress = 0
 
     while not converged and iters < opts.max_iters:
-        pre = not _at_bound(U, grid, adm).any()
+        pre = not at.any()
         if pre:
             metric.refresh(fb)
             d = metric.solve(g) / grid.cell_volume
@@ -363,7 +360,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         prev_taus[pre] = tau
 
         U, E, g, fb = U_new, E_new, g_new, fb_new
-        pg = _projected_gradient(U, g, grid, adm)
+        pg, at = _projected_gradient(U, g, grid, adm)
         pgn = float(np.abs(pg).max())
         iters += 1
         pre_steps += pre
@@ -385,7 +382,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         iterations=iters,
         energy_history=np.asarray(energies),
         pg_history=np.asarray(pgs),
-        active_count=int(_at_bound(U, grid, adm).any(axis=-1).sum()),
+        active_count=int(at.any(axis=-1).sum()),
         wall_time=time.perf_counter() - t0,
         converged=bool(converged),
         tol_pg=float(tol),
@@ -413,5 +410,5 @@ def kkt_residual(grid: Grid, U: Field, w: Weight, adm: AdmissibleSet,
     if not np.array_equal(flat[grid.boundary_indices], adm.boundary.values):
         raise ValueError("field violates the boundary equality")
     g = grad_raw(grid, vals, w, A)
-    pg = _projected_gradient(vals, g, grid, adm)
+    pg, _ = _projected_gradient(vals, g, grid, adm)
     return float(np.abs(pg).max())

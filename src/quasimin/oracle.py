@@ -89,6 +89,10 @@ class TransformTable:
     inverse_estimate costs one forward and checks nothing.  Its error
     grows with the interval width times the slope of f: on |u| <= 3 for
     gaussian(1), 2e-14 on a table of range 14 and 1.2e-12 at range 38.
+    A range past the point where e^{f/2} underflows is cut back to where
+    every interval integrates to a positive value (gaussian(1): range 39
+    becomes 38.50), and an argument beyond the cut is refused because the
+    density is not positive there.
     """
 
     def __init__(self, weight: Weight, range_m: float):
@@ -96,17 +100,26 @@ class TransformTable:
             raise ValueError("table range must be positive")
         self.weight = weight
         self.range_m = float(range_m)
-        self.table_u = np.linspace(-self.range_m, self.range_m, _TABLE_NODES)
-
-        fhalf = 0.5 * self._f_scalar(self.table_u)
-        if fhalf.max() > 700.0:
-            raise OverflowError(
-                f"e^(f/2) overflows on [-{self.range_m}, {self.range_m}]"
-            )
-        seg = _gl_integrate(self._density, self.table_u[:-1], self.table_u[1:])
-        if not (seg > 0).all():
-            raise ValueError("transform density must be positive on the range")
         mid = _TABLE_NODES // 2
+        # where e^{f/2} underflows, an interval integrates to 0: the range
+        # is cut back to the inner end of the innermost such interval, and
+        # the table is built again on the shorter range
+        self._outside = "argument leaves the transform table range"
+        while True:
+            self.table_u = np.linspace(-self.range_m, self.range_m, _TABLE_NODES)
+            fhalf = 0.5 * self._f_scalar(self.table_u)
+            if fhalf.max() > 700.0:
+                raise OverflowError(
+                    f"e^(f/2) overflows on [-{self.range_m}, {self.range_m}]"
+                )
+            seg = _gl_integrate(self._density, self.table_u[:-1], self.table_u[1:])
+            bad = np.flatnonzero(~(seg > 0))
+            if not bad.size:
+                break
+            self.range_m = float(np.abs(self.table_u[np.where(bad < mid, bad + 1, bad)]).min())
+            self._outside = "transform density must be positive on the range"
+            if self.range_m == 0.0:
+                raise ValueError(self._outside)
         w = np.zeros(_TABLE_NODES)
         w[mid + 1 :] = np.cumsum(seg[mid:])
         w[:mid] = -np.cumsum(seg[:mid][::-1])[::-1]
@@ -136,7 +149,7 @@ class TransformTable:
         """W(u); u must lie in [-M, M]."""
         u = np.asarray(u, dtype=float)
         if u.size and (u.min() < -self.range_m or u.max() > self.range_m):
-            raise ValueError("argument leaves the transform table range")
+            raise ValueError(self._outside)
         step = self.table_u[1] - self.table_u[0]
         k = np.clip(
             np.floor((u - self.table_u[0]) / step).astype(int), 0, self.table_u.size - 2

@@ -11,9 +11,10 @@ in one loop, so a bad value, an unknown key (named with its nearest valid
 alternative), a non-finite number or a repeated key is reported on its
 own line.  The domain, weight and solver options are then built from the
 converted values.  `_REQUIRED` lists the keys a mode needs and `_READERS`
-the modes that read each section.  `_KIND_KEYS` lists the keys each
-domain and weight kind reads, and `_FILES` the files each mode writes.
-Anything else is refused on its line, in line order.
+the modes that read each section.  `_KINDS` gives each domain and weight
+kind the keys it needs, the keys it may also read and its constructor,
+and `_FILES` the files each mode writes.  Anything else is refused on
+its line, in line order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .energy import CoefficientTensor
 from .exprlang import VectorExpr, parse_expr, parse_vector_expr
 from .grids import DomainSpec
 from .optim import SolveOptions
-from .weights import Weight, WeightSpec, make_weight
+from .weights import Weight, constant, gaussian, sphere_chart
 
 MODES = ("solve", "oracle", "sphere", "halfspace", "gradcheck")
 TIMING_FILE = "timing.txt"  # written by every run, next to the files of `_FILES`
@@ -123,15 +124,38 @@ def _diagonal_tensor(value):
     return CoefficientTensor.diagonal(exprs)
 
 
+# section -> kind -> (the keys the kind needs, the keys it may also read,
+# its constructor from the section's converted keys).  Every kind reads
+# `kind`.  parse_problem builds the object only once the keys the mode
+# requires of the section are given too: half_ball reads its rank from
+# the resolution.
+_KINDS = {
+    "domain": {
+        "box": (("extents",), ("resolution",), lambda k: DomainSpec.box(k["extents"])),
+        "masked_box": (("extents", "mask"), ("resolution",),
+                       lambda k: DomainSpec.masked_box(k["extents"], k["mask"])),
+        "half_ball": (("radius",), ("resolution",),
+                      lambda k: DomainSpec.half_ball(k["radius"], len(k["resolution"]))),
+    },
+    "weight": {
+        "gaussian": (("alpha",), ("shift",),
+                     lambda k: gaussian(k["alpha"]).shifted(k.get("shift", 0.0))),
+        "sphere_chart": (("beta",), ("shift",),
+                         lambda k: sphere_chart(k["beta"]).shifted(k.get("shift", 0.0))),
+        "constant": ((), ("value", "shift"),
+                     lambda k: constant(k.get("value", 0.0)).shifted(k.get("shift", 0.0))),
+    },
+}
+
 # (section, key) -> (diagnostic label, converter, ProblemSpec field or None)
 _KEYS = {
     ("", "mode"): ("mode", str.lower, None),
-    ("domain", "kind"): ("domain kind", _choice("box", "masked_box", "half_ball"), None),
+    ("domain", "kind"): ("domain kind", _choice(*_KINDS["domain"]), None),
     ("domain", "extents"): ("extents", _intervals, None),
     ("domain", "resolution"): ("resolution", _ints, "resolution"),
     ("domain", "radius"): ("radius", _finite, None),
     ("domain", "mask"): ("mask expression", parse_expr, None),
-    ("weight", "kind"): ("weight kind", _choice("gaussian", "sphere_chart", "constant"), None),
+    ("weight", "kind"): ("weight kind", _choice(*_KINDS["weight"]), None),
     ("weight", "alpha"): ("weight alpha", _finite, None),
     ("weight", "beta"): ("weight beta", _finite, None),
     ("weight", "value"): ("weight value", _finite, None),
@@ -200,16 +224,6 @@ _READERS = {
     "gradcheck": (("gradcheck",), "[gradcheck] applies to gradcheck mode only"),
 }
 
-# Keys each domain and weight kind is built from, besides those every kind
-# of its section reads.  A key that the chosen kind does not read is
-# refused on its line.
-_KIND_KEYS = {
-    "domain": {"box": ("extents",), "masked_box": ("extents", "mask"), "half_ball": ("radius",)},
-    "weight": {"gaussian": ("alpha",), "sphere_chart": ("beta",), "constant": ("value",)},
-}
-_EVERY_KIND = {"domain": ("kind", "resolution"), "weight": ("kind", "shift")}
-
-
 def _suggest(key: str, valid) -> str:
     close = difflib.get_close_matches(key, sorted(valid), n=1)
     return f"; nearest valid key is {close[0]!r}" if close else ""
@@ -265,14 +279,6 @@ def _scan(text: str):
     return values, lines, diags
 
 
-def _domain(kind: str, keys: dict) -> DomainSpec:
-    if kind == "half_ball":
-        return DomainSpec.half_ball(keys["radius"], len(keys["resolution"]))
-    if kind == "masked_box":
-        return DomainSpec.masked_box(keys["extents"], keys["mask"])
-    return DomainSpec.box(keys["extents"])
-
-
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a problem spec; raises SpecError on any defect."""
     values, lines, diags = _scan(text)
@@ -308,37 +314,31 @@ def parse_problem(text: str) -> ProblemSpec:
     needs = {section for section, _ in _REQUIRED[mode]}
     # a section holding a bad value was reported on that value's line already
     broken = {s for s, k in lines if k is not None and k not in values[s]}
-    for section, kinds in _KIND_KEYS.items():
-        # box is the domain default and no weight kind; a bad kind is reported
-        kind = values[section].get("kind", "box" if (section, "kind") not in lines else None)
+    for section, kinds in _KINDS.items():
+        keys = values[section]
+        kind = keys.get("kind")
+        # a kind the mode does not require defaults to the first, the
+        # domain's box; a bad kind was reported on its line
+        if (section, "kind") not in lines and (section, "kind") not in _REQUIRED[mode]:
+            kind = next(iter(kinds))
         if section not in needs or kind not in kinds:
             continue
-        for key in values[section]:
-            if key not in _EVERY_KIND[section] + kinds[kind]:
+        need, may, build = kinds[kind]
+        for key in keys:
+            if key not in ("kind",) + need + may:
                 fail(lines[(section, key)], f"a {kind} {section} does not read {key}; drop it")
-
-    if "domain" in needs and "domain" not in broken:
-        keys = values["domain"]
-        kind = keys.get("kind", "box")
-        missing = [k for k in _KIND_KEYS["domain"][kind] if k not in keys]
+        if section in broken:
+            continue
+        missing = [k for k in need if k not in keys]
         if missing:
-            fail(line_of("domain", "kind"), f"{kind} domain needs {' and '.join(missing)}")
-        elif "resolution" in keys:
+            fail(line_of(section, "kind"), f"{kind} {section} needs {' and '.join(missing)}")
+        elif all(k in keys for s, k in _REQUIRED[mode] if s == section):
             try:
-                spec.domain = _domain(kind, keys)
+                setattr(spec, section, build(keys))
             except ValueError as exc:
-                fail(line_of("domain", "kind"), str(exc))
-        if spec.domain is not None and len(spec.resolution) != spec.domain.ndim:
-            fail(lines[("domain", "resolution")],
-                 "resolution rank does not match domain dimension")
-
-    if "weight" in needs and "weight" not in broken and "kind" in values["weight"]:
-        keys = dict(values["weight"])
-        shift = keys.pop("shift", 0.0)
-        try:
-            spec.weight = make_weight(WeightSpec(**keys)).shifted(shift)
-        except ValueError as exc:
-            fail(lines[("weight", "kind")], f"weight: {exc}")
+                fail(line_of(section, "kind"), str(exc))
+    if spec.domain is not None and len(spec.resolution) != spec.domain.ndim:
+        fail(lines[("domain", "resolution")], "resolution rank does not match domain dimension")
 
     ncomp = spec.boundary.ncomp if spec.boundary is not None else None
     boundary_line = lines.get(("boundary", "values"))

@@ -64,20 +64,6 @@ class Weight:
         return dataclasses.replace(self, shift=self.shift + float(delta))
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Parameter record for the named weight families."""
-
-    kind: str
-    alpha: float | None = None
-    beta: float | None = None
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "sphere_chart", "constant"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-
-
 def gaussian(alpha: float) -> Weight:
     """f(U) = -alpha |U|^2, so g = 2 alpha and f'(U) = -2 alpha U."""
     alpha = float(alpha)
@@ -122,18 +108,6 @@ def constant(c: float = 0.0) -> Weight:
 
 def custom(f: Callable, g: Callable, label: str = "custom") -> Weight:
     return Weight(f=f, g=g, label=label)
-
-
-def make_weight(spec: WeightSpec) -> Weight:
-    if spec.kind == "gaussian":
-        if spec.alpha is None:
-            raise ValueError("gaussian weight needs alpha")
-        return gaussian(spec.alpha)
-    if spec.kind == "sphere_chart":
-        if spec.beta is None:
-            raise ValueError("sphere_chart weight needs beta")
-        return sphere_chart(spec.beta)
-    return constant(spec.value)
 
 
 @dataclass(frozen=True)

@@ -310,13 +310,16 @@ def test_oracle_mode(tmp_path):
 @pytest.mark.parametrize(
     "values, source, ends",
     [("-9 * (1 - x1)", None, (-9.0, -0.0)), ("9 * x1", None, (0.0, 9.0)),
-     ("-6 * (1 - x1)", None, (-6.0, -0.0)), ("-6 * (1 - x1)", "1", (-6.0, -0.0))],
-    ids=["flat_table_end", "steep_data", "moderate_data", "picard"],
+     ("-6 * (1 - x1)", None, (-6.0, -0.0)), ("-6 * (1 - x1)", "1", (-6.0, -0.0)),
+     ("9 * x1", "1", (0.0, 9.0))],
+    ids=["flat_table_end", "steep_data", "moderate_data", "picard", "underflowing_table"],
 )
 def test_oracle_dump_holds_the_data_on_the_boundary(tmp_path, values, source, ends):
     # the first spec's table is flat at its lower end, where the inverse's
     # linear start once divided 0 by 0; the boundary rows are phi itself,
-    # not W^{-1}(W(phi)), which read 8.1640625 for phi = 9
+    # not W^{-1}(W(phi)), which read 8.1640625 for phi = 9.  The last asks
+    # for table range 39, past the underflow of e^{f/2} at |u| = 38.6,
+    # and runs on the table cut back to where its density is positive
     text = (_PROBLEMS / "oracle_interval.cfg").read_text().replace(
         "values = x1", f"values = {values}")
     if source is not None:

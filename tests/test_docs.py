@@ -1,4 +1,4 @@
-"""README's Layout block names only what its modules hold."""
+"""README's Layout block names only what its modules hold, and every script."""
 
 import functools
 import importlib
@@ -8,6 +8,10 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _layout_block():
+    return README.read_text().split("## Layout", 1)[1].split("```")[1]
+
+
 def _layout_names():
     """(modules of the entry, name) for every backticked name in the Layout block.
 
@@ -15,9 +19,8 @@ def _layout_names():
     lists module files; its continuation lines are indented further.  A
     line at the margin (a directory) ends the entry.
     """
-    block = README.read_text().split("## Layout", 1)[1].split("```")[1]
     modules, out = (), []
-    for line in block.splitlines():
+    for line in _layout_block().splitlines():
         if not line.startswith(" "):
             modules = ()
         elif not line.startswith("   "):
@@ -39,3 +42,15 @@ def test_layout_names_are_attributes_of_their_modules():
     assert len(names) >= 5
     stale = [(m, name) for m, name in names if not any(_has(mod, name) for mod in m)]
     assert stale == []
+
+
+def test_layout_names_every_script_and_only_scripts_that_exist():
+    # the scripts/ entry runs from its line at the margin to the next one
+    entry, inside = [], False
+    for line in _layout_block().splitlines():
+        if not line.startswith(" "):
+            inside = line.startswith("scripts/")
+        if inside:
+            entry.append(line)
+    named = set(re.findall(r"(?<![\w/])(\w+\.py)", "\n".join(entry)))
+    assert named == {p.name for p in (README.parent / "scripts").glob("*.py")}

@@ -38,6 +38,16 @@ def test_half_ball_classification():
     assert g.node_class[1, 1] == BOUNDARY
 
 
+def test_half_ball_is_a_box_with_a_predicate():
+    dom = DomainSpec.half_ball(2.0, 2)
+    assert dom.extents == ((-2.0, 2.0), (0.0, 2.0))
+    # a relative 1e-12 on |x|^2 and an absolute 1e-12 R below x_n = 0
+    pts = np.array([[0.0, 2.0 * (1 + 4e-13)], [0.0, 2.0 * (1 + 1e-12)],
+                    [1.0, -1e-12], [1.0, -3e-12]])
+    assert dom.membership(pts).tolist() == [True, False, True, False]
+    assert DomainSpec.box([(0, 1)]).mask is None
+
+
 def test_classes_partition_and_determinism():
     dom = DomainSpec.masked_box(
         [(-1, 1), (-1, 1)], lambda p: np.sum(p * p, axis=-1) <= 1.0 + 1e-12
@@ -174,10 +184,3 @@ def test_restrict_window_outside_grid():
     f = Field.zeros(g)
     with pytest.raises(ValueError, match="outside"):
         restrict(f, [(0.5, 1.25)])
-
-
-def test_half_ball_box_must_cover():
-    with pytest.raises(ValueError, match="cover"):
-        DomainSpec("half_ball", ((-0.5, 1.0), (0.0, 1.0)), radius=1.0)
-    # the canonical constructor always covers
-    DomainSpec.half_ball(1.0, 2)

@@ -376,6 +376,37 @@ def test_constant_weight_box_metric_is_the_averaged_inverse(grid):
     assert np.array_equal(metric.solve(r), box_laplacian_inverse(grid, averaged=True)(r))
 
 
+def test_no_progress_at_numerical_precision_stops_the_descent():
+    g = interval(9)
+    adm = AdmissibleSet(np.array([2.0]), sample_boundary(g, lambda p: p[:, 0]))
+    u, rep = minimize(g, gaussian(1.0), adm, opts=SolveOptions(tol_pg=1e-300, max_iters=5000))
+    assert rep.stall_reason == "no progress at numerical precision"
+    assert not rep.converged
+    assert 1000 <= rep.iterations < 5000
+    assert np.all(np.diff(rep.energy_history) <= 0.0)
+    assert np.array_equal(_project_values(u.values, g, adm), u.values)
+
+
+def test_line_search_stalled_at_the_minimum_step_returns_the_start(monkeypatch):
+    g = square(9)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
+    start = _project_values(poisson_dirichlet(g, None, adm.boundary).values, g, adm)
+    calls = []
+
+    def nan_after_the_first(*args):
+        calls.append(1)
+        E, *rest = energy_raw(*args)
+        return (E if len(calls) == 1 else np.nan, *rest)
+
+    monkeypatch.setattr("quasimin.optim.energy_raw", nan_after_the_first)
+    u, rep = minimize(g, gaussian(1.0), adm)
+    assert rep.stall_reason == "line search stalled at the minimum step"
+    assert rep.line_search_failures == 1
+    assert not rep.converged and rep.iterations == 0
+    assert rep.energy_history.tolist() == [energy_raw(g, start, gaussian(1.0))[0]]
+    assert np.array_equal(u.values, start)
+
+
 def test_report_counts_energy_evaluations():
     g = square(33)
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))

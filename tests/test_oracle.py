@@ -66,6 +66,25 @@ def test_table_overflow_rejected():
         TransformTable(grow, 60.0)
 
 
+def test_table_whose_density_underflows_is_cut_back():
+    # e^{-u^2/2} underflows to 0 past |u| = 38.6: range 38 builds as asked,
+    # range 39 is cut back to the inner end of its first empty interval
+    kept = TransformTable(gaussian(1.0), 38.0)
+    assert kept.range_m == 38.0 and kept.table_u[-1] == 38.0
+    cut = TransformTable(gaussian(1.0), 39.0)
+    assert 38.5 < cut.range_m < 38.61
+    assert (oracle._gl_integrate(cut._density, cut.table_u[:-1], cut.table_u[1:]) > 0).all()
+    assert abs(float(cut.forward(np.array(9.0))) - float(kept.forward(np.array(9.0)))) <= 1e-15
+    with pytest.raises(ValueError, match="transform density must be positive on the range"):
+        cut.forward(np.array([38.7]))
+    # a density that is 0 next to u = 0 leaves no range
+    with pytest.raises(ValueError, match="transform density must be positive on the range"):
+        TransformTable(gaussian(400.0), 14.0).forward(np.array([3.0]))
+    with pytest.raises(ValueError, match="transform density must be positive on the range"):
+        TransformTable(custom(f=lambda U: np.full(U.shape[:-1], -2000.0),
+                              g=lambda U: np.zeros(U.shape[:-1])), 1.0)
+
+
 def test_poisson_exact_on_linears():
     g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (9, 9))
     bd = sample_boundary(g, lambda p: 2.0 * p[:, 0] - p[:, 1] + 0.25)

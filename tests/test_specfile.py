@@ -96,7 +96,7 @@ def test_minimal_solve_spec_defaults():
     spec = parse_problem(MINIMAL)
     assert spec.mode == "solve"
     assert spec.resolution == (9, 9)
-    assert spec.domain.kind == "box"
+    assert spec.domain.mask is None
     assert spec.weight.label == "gaussian(1.0)"
     assert spec.boundary.ncomp == 1
     assert spec.solver.max_iters == 50000
@@ -239,7 +239,7 @@ max_iters = 1234
 box_bound = 2.5
 """
     spec = parse_problem(text)
-    assert spec.domain.kind == "masked_box"
+    assert spec.domain.mask is not None
     assert spec.tensor is not None
     assert spec.solver.tol_pg == 1e-9
     assert spec.solver.max_iters == 1234
@@ -343,3 +343,58 @@ _README_RUNS = {
 def test_shipped_examples_parse_in_their_readme_mode(path):
     spec = parse_problem((_PROBLEMS / path).read_text())
     assert spec.mode == _README_RUNS[f"problems/{path}"]
+
+
+# the [domain] and [weight] kinds share one table, and so their wording
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("kind = gaussian", "kind = nope", "kind = nope",
+         "bad weight kind 'nope': expected one of gaussian, sphere_chart, constant"),
+        ("kind = box", "kind = disk", "kind = disk",
+         "bad domain kind 'disk': expected one of box, masked_box, half_ball"),
+        ("alpha = 1.0", "alpha = -1", "kind = gaussian", "gaussian weight requires alpha > 0"),
+        ("kind = gaussian\nalpha = 1.0", "kind = sphere_chart\nbeta = 0", "kind = sphere_chart",
+         "sphere_chart weight requires beta > 0"),
+        ("alpha = 1.0\n", "", "kind = gaussian", "gaussian weight needs alpha"),
+        ("kind = gaussian\nalpha = 1.0", "kind = sphere_chart", "kind = sphere_chart",
+         "sphere_chart weight needs beta"),
+        ("kind = box\nextents = 0 1 ; 0 1", "kind = half_ball\nradius = 0", "kind = half_ball",
+         "half_ball requires radius > 0"),
+        ("kind = box\nextents = 0 1 ; 0 1", "kind = half_ball", "kind = half_ball",
+         "half_ball domain needs radius"),
+        ("kind = box\nextents = 0 1 ; 0 1", "kind = masked_box", "kind = masked_box",
+         "masked_box domain needs extents and mask"),
+        ("extents = 0 1 ; 0 1", "extents = 1 0 ; 0 1", "kind = box",
+         "degenerate extent (1.0, 0.0)"),
+    ],
+    ids=["unknown_weight", "unknown_domain", "alpha_negative", "beta_zero", "no_alpha",
+         "no_beta", "radius_zero", "no_radius", "no_extents_mask", "degenerate"],
+)
+def test_a_kind_refuses_on_one_line(old, new, line, message):
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(SpecError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert diag.message == message
+    assert diag.line == _diag_line(text, line)
+
+
+@pytest.mark.parametrize("keys, label, shift", [
+    ("", "constant(0.0)", 0.0), ("value = 3\n", "constant(3.0)", 3.0),
+    ("value = 3\nshift = 0.25\n", "constant(3.0)", 3.25)])
+def test_constant_value_is_the_shift(keys, label, shift):
+    spec = parse_problem(MINIMAL.replace("kind = gaussian\nalpha = 1.0\n",
+                                         f"kind = constant\n{keys}"))
+    assert spec.weight.label == label
+    assert spec.weight.shift == shift
+    assert spec.weight.f_total(np.zeros((2, 1))).tolist() == [shift, shift]
+
+
+def test_half_ball_spec_takes_its_rank_from_the_resolution():
+    text = MINIMAL.replace("kind = box\nextents = 0 1 ; 0 1\nresolution = 9 9",
+                           "kind = half_ball\nradius = 2\nresolution = 9 9 5")
+    spec = parse_problem(text)
+    assert spec.domain.extents == ((-2.0, 2.0), (-2.0, 2.0), (0.0, 2.0))
+    assert spec.domain.membership(np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])).tolist() == [
+        True, False]

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimin import (
-    WeightSpec,
     constant,
     custom,
     gaussian,
-    make_weight,
     sphere_chart,
     validate_weight,
 )
@@ -59,18 +57,6 @@ def test_constant_weight():
 def test_fprime_zero_at_origin():
     for w in (gaussian(2.0), sphere_chart(1.5), constant(1.0)):
         assert np.all(w.fprime(np.zeros(3)) == 0.0)
-
-
-def test_make_weight_dispatch_and_errors():
-    assert make_weight(WeightSpec("gaussian", alpha=0.5)).label == "gaussian(0.5)"
-    assert make_weight(WeightSpec("sphere_chart", beta=2)).label == "sphere_chart(2.0)"
-    assert make_weight(WeightSpec("constant", value=3.0)).shift == 3.0
-    with pytest.raises(ValueError):
-        make_weight(WeightSpec("gaussian", alpha=-1.0))
-    with pytest.raises(ValueError):
-        make_weight(WeightSpec("sphere_chart", beta=0.0))
-    with pytest.raises(ValueError):
-        WeightSpec("nope")
 
 
 @given(
