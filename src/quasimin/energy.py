@@ -32,7 +32,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Field, Grid, successors
 from .weights import Weight, _term_sum
@@ -178,8 +177,8 @@ def to_nodes(grid: Grid, ybar: np.ndarray, ys=()) -> np.ndarray:
     return out
 
 
-def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
-    """K_w = sum_i D_i^T diag(weights[i]) D_i on the interior nodes.
+def weighted_laplacian(grid: Grid, weights):
+    """K_w = sum_i D_i^T diag(weights[i]) D_i on the interior nodes, as scipy.sparse CSC.
 
     weights[i] holds one value per cell for axis i.  Rows and columns follow
     grid.interior_indices.  The matrix is assembled from its 3^n node
@@ -188,6 +187,9 @@ def weighted_laplacian(grid: Grid, weights) -> sparse.csc_matrix:
     offset q - p.  At corner p, D_i is (2 p_i - 1) / h_i along axis i and
     1/2 along the others.  Exact zeros are dropped.
     """
+    # imported here: only the metric of masked and half-ball grids needs it
+    from scipy import sparse
+
     n = grid.ndim
     cells = tuple(d - 1 for d in grid.dims)
     bands = collections.defaultdict(lambda: np.zeros(grid.dims))

@@ -290,11 +290,18 @@ class BoundaryData:
     def ncomp(self) -> int:
         return self.values.shape[1]
 
-    def scatter(self) -> np.ndarray:
-        """Full-lattice array, boundary rows filled and zeros elsewhere."""
-        full = np.zeros((self.grid.num_nodes, self.ncomp))
-        full[self.grid.boundary_indices] = self.values
-        return full.reshape(self.grid.dims + (self.ncomp,))
+    def hold(self, values: np.ndarray) -> np.ndarray:
+        """Write phi onto the boundary nodes and 0 onto the exterior nodes of values.
+
+        values, C-contiguous of shape grid.dims + (ncomp,), is written in
+        place; the interior nodes keep their entries.  Returns values.
+        """
+        if not values.flags.c_contiguous:
+            raise ValueError("hold writes a C-contiguous array in place")
+        flat = values.reshape(-1, self.ncomp)
+        flat[self.grid.boundary_indices] = self.values
+        flat[~self.grid.in_mask.ravel()] = 0.0
+        return values
 
 
 def sample_boundary(grid: Grid, expr: Callable[[np.ndarray], np.ndarray]) -> BoundaryData:

@@ -8,8 +8,11 @@ is reported on a fixed observation window: sup differences of consecutive
 solutions restricted to the window, window energies, and the exact uniform
 bound |u_R| <= C enforced by the box constraint.
 
-Each solve starts from the sampled phi itself, so the minimizer inequality
-E(u_R) <= E(phi sample) holds exactly by monotonicity of the descent.
+Each solve starts from the sampled phi projected into the box, which is
+phi itself under the default box, and reports the energy of that start as
+the competitor energy: E(u_R) <= E(start) holds exactly by monotonicity of
+the descent.  A box_bound that clips phi inside the domain changes the
+start, and E(phi sample) is then no bound on E(u_R).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class ExhaustionReport:
     window_energies: list[float]
     window_diffs: list[float]  # one entry per consecutive radius pair
     full_energies: list[float]
-    competitor_energies: list[float]  # E(phi sample), an exact upper bound
+    competitor_energies: list[float]  # E(start), an exact upper bound of full_energies
     uniform_bound_ok: bool
     box_bound: np.ndarray
     window_fields: list[Field] = dataclass_field(default_factory=list)
@@ -128,7 +131,7 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
         report.sup_norms.append(sup)
         report.uniform_bound_ok &= sup <= box_sup
         report.full_energies.append(solve_rep.final_energy)
-        report.competitor_energies.append(energy(g, phi_f, w).value)
+        report.competitor_energies.append(float(solve_rep.energy_history[0]))
 
         u_win = restrict(u, window)
         report.window_energies.append(energy(u_win.grid, u_win, w).value)

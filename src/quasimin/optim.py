@@ -48,8 +48,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .energy import (CoefficientTensor, energy_raw, grad_raw, half_index, sample_tensor,
                      to_cells, to_nodes, weighted_laplacian)
@@ -146,12 +144,8 @@ class SolveReport:
         return float(self.pg_history[-1])
 
 
-def _project_values(values: np.ndarray, grid: Grid, adm: AdmissibleSet) -> np.ndarray:
-    out = np.clip(values, -adm.box, adm.box)
-    flat = out.reshape(-1, adm.ncomp)
-    flat[grid.boundary_indices] = adm.boundary.values
-    flat[~grid.in_mask.ravel()] = 0.0
-    return flat.reshape(values.shape)
+def _project_values(values: np.ndarray, adm: AdmissibleSet) -> np.ndarray:
+    return adm.boundary.hold(np.clip(values, -adm.box, adm.box))
 
 
 def project_admissible(U: Field, adm: AdmissibleSet) -> Field:
@@ -161,7 +155,7 @@ def project_admissible(U: Field, adm: AdmissibleSet) -> Field:
     """
     if U.ncomp != adm.ncomp:
         raise ValueError("field components do not match the admissible set")
-    return Field(U.grid, U.ncomp, _project_values(U.values, U.grid, adm))
+    return Field(U.grid, U.ncomp, _project_values(U.values, adm))
 
 
 def _projected_gradient(values: np.ndarray, grad: np.ndarray,
@@ -191,6 +185,10 @@ def _scaled_block(grid, lap_inv, weights):
 
 def _factored_block(grid, weights):
     """(1, c_i, K_w^{-1}) with K_w factored by sparse LU, in float32: only a metric."""
+    # imported here, as in weighted_laplacian: box grids never factor K_w
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     K = weighted_laplacian(grid, weights)
     # an interior node on no weighted cell has an empty row and a zero
     # gradient; a unit diagonal keeps K_w regular, d = 0 there
@@ -284,7 +282,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     A = sample_tensor(grid, A)
     metric = _Metric(grid, A)
 
-    U = _project_values(_initial_values(grid, adm, opts.init), grid, adm)
+    U = _project_values(_initial_values(grid, adm, opts.init), adm)
     E, _, grad, fb = energy_raw(grid, U, w, A)
     evals = 1
     if not np.isfinite(E):
@@ -322,7 +320,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             d = g
         tau = float(np.clip(taus[pre], _STEP_MIN, _STEP_MAX))
         for _ in range(_BACKTRACK_LIMIT):
-            U_new = _project_values(U - tau * d, grid, adm)
+            U_new = _project_values(U - tau * d, adm)
             step = U_new - U
             dd = float(np.sum(g * step))
             E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
@@ -338,7 +336,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             # smallest step, otherwise stop at the current iterate
             ls_failures += 1
             tau = _STEP_MIN
-            U_new = _project_values(U - tau * d, grid, adm)
+            U_new = _project_values(U - tau * d, adm)
             E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
             evals += 1
             if not (np.isfinite(E_new) and E_new <= E):

@@ -334,7 +334,7 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
     """
     if grid.num_interior == 0:
         raise ValueError("grid has no interior nodes")
-    bfield = boundary.scatter()
+    bfield = boundary.hold(np.zeros(grid.dims + (boundary.ncomp,)))
     # move the boundary columns to the right-hand side
     b = _neighbor_sum(bfield, grid)
     if rhs is not None:
@@ -383,21 +383,10 @@ def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData) -> Field:
     """
     table = TransformTable(f, default_table_range(boundary))
     wfield = poisson_dirichlet(grid, None, table.boundary_values(boundary))
-    return _holding_data(table.inverse(np.where(grid.in_mask, wfield.values[..., 0], 0.0)),
-                         boundary)
-
-
-def _holding_data(u: np.ndarray, boundary: BoundaryData) -> Field:
-    """The field u, 0 off the domain and phi on its boundary nodes.
-
-    The solvers invert the whole domain, boundary nodes too, so the
-    interior bits and the Newton count do not depend on the data written
-    over them.
-    """
-    grid = boundary.grid
-    u = np.where(grid.in_mask, u, 0.0)
-    u.reshape(-1)[grid.boundary_indices] = boundary.values[:, 0]
-    return Field(grid, 1, u[..., None])
+    # the inverse runs on the boundary nodes too, so the interior bits and
+    # the Newton count do not depend on the data held over them
+    u = table.inverse(np.where(grid.in_mask, wfield.values[..., 0], 0.0))
+    return Field(grid, 1, boundary.hold(u[..., None]))
 
 
 def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
@@ -436,7 +425,7 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
         resid = float(np.abs((v_next - v)[grid.in_mask]).max())
         if resid <= _PICARD_TOL:
             if checked:
-                return _holding_data(u, boundary), k
+                return Field(grid, 1, boundary.hold(u[..., None])), k
             checked = True
         v = v_next
         if resid > prev_resid:

@@ -232,11 +232,8 @@ def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
     w = sphere_chart(2.0)
     U, report = minimize(grid, w, adm, opts=opts)
 
-    mapped_vals = stereo_inverse(pole, U.values)
-    flat = mapped_vals.reshape(-1, mapped_vals.shape[-1])
-    flat[grid.boundary_indices] = as_unit_points(boundary.values)
-    flat[~grid.in_mask.ravel()] = 0.0
-    V = Field(grid, mapped_vals.shape[-1], mapped_vals)
+    unit_bdry = BoundaryData(grid, as_unit_points(boundary.values))
+    V = Field(grid, unit_bdry.ncomp, unit_bdry.hold(stereo_inverse(pole, U.values)))
 
     dirichlet = energy(grid, V, constant(0.0)).value
     res = harmonic_residual(grid, V)
@@ -267,8 +264,8 @@ def _interval_circle_pair(grid: Grid, boundary: BoundaryData,
     """
     if grid.ndim != 1 or boundary.values.shape[0] != 2:
         return None
-    vals = as_unit_points(boundary.values)
-    a, b = vals[0], vals[1]
+    unit_bdry = BoundaryData(grid, as_unit_points(boundary.values))
+    a, b = unit_bdry.values
     c = float(a @ b)
     if abs(c) > 1.0 - 1e-8:
         return None
@@ -290,10 +287,7 @@ def _interval_circle_pair(grid: Grid, boundary: BoundaryData,
     short_res = solve_chart(grid, circle_bdry, pole_on_long, opts)
 
     def embed(res: SphereMapResult) -> SphereMapResult:
-        V = res.mapped.values @ plane
-        flat = V.reshape(-1, V.shape[-1])
-        flat[grid.boundary_indices] = vals
-        field = Field(grid, V.shape[-1], V)
+        field = Field(grid, unit_bdry.ncomp, unit_bdry.hold(res.mapped.values @ plane))
         pole3 = make_pole(res.pole.pole @ plane)
         return SphereMapResult(
             chart=res.chart,

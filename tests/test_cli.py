@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +381,13 @@ def test_io_failure_exit_code(tmp_path, capsys):
     assert "out dir" in capsys.readouterr().err
 
 
+def test_artifact_write_failure_after_the_solve_exits_4(tmp_path, capsys):
+    (tmp_path / "out" / "solution.field").mkdir(parents=True)
+    code, _ = run(tmp_path, "p.cfg", SOLVE_SPEC, "solve")
+    assert code == 4
+    assert "I/O failure" in capsys.readouterr().err
+
+
 def test_missing_spec_file(tmp_path, capsys):
     code = main(["solve", "--spec", str(tmp_path / "absent.cfg")])
     assert code == 4
@@ -395,6 +404,18 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys, argv, code):
     # exit 2 is reserved for non-convergence
     assert main(argv) == code
     assert "usage: quasimin" in capsys.readouterr()[code == 3]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.fft and scipy.sparse load on the first solve that needs them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, quasimin.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _raise_convergence(*args, **kwargs):
@@ -470,9 +491,13 @@ def test_removed_keys_exit_3_on_their_line(tmp_path, capsys, section, line, mess
          "halfspace", "half-ball"),
         (SOLVE_SPEC.replace("values = x1 * x2", "values = " + " + ".join(["x1"] * 1000)),
          "solve", "bad boundary expression"),
+        # the data vanish at x1 = 1
+        ("mode = sphere\n[domain]\nkind = box\nextents = -1 1\nresolution = 9\n"
+         "[boundary]\nvalues = x1 - 1, 0, 0\n", "sphere",
+         "sphere boundary expression vanishes at a node"),
     ],
     ids=["grid", "box_bound", "tensor", "tensor_nodes", "tensor_negative", "tensor_zero",
-         "halfspace_window", "nested_boundary"],
+         "halfspace_window", "nested_boundary", "sphere_vanishing_data"],
 )
 def test_failures_from_the_spec_exit_3(tmp_path, capsys, text, mode, message):
     code, out = run(tmp_path, "s.cfg", text, mode)

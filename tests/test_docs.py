@@ -1,9 +1,12 @@
-"""README's Layout block names only what its modules hold, and every script."""
+"""README's Layout block names only what its modules hold, and every script;
+its spec-key table has one row per key of the spec reader."""
 
 import functools
 import importlib
 import re
 from pathlib import Path
+
+from quasimin import specfile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,3 +57,15 @@ def test_layout_names_every_script_and_only_scripts_that_exist():
             entry.append(line)
     named = set(re.findall(r"(?<![\w/])(\w+\.py)", "\n".join(entry)))
     assert named == {p.name for p in (README.parent / "scripts").glob("*.py")}
+
+
+def test_spec_key_table_has_one_row_per_key():
+    block = README.read_text().split("### Spec keys", 1)[1].split("\n#", 1)[0]
+    rows = []
+    for line in block.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[1].startswith("`"):
+            section = re.fullmatch(r"`\[(\w+)\]`", cells[0])
+            rows.append((section.group(1) if section else "", cells[1].strip("`")))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(specfile._KEYS)

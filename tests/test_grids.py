@@ -142,6 +142,19 @@ def test_sample_boundary_nonfinite_rejected():
             sample_boundary(g, lambda p: 1.0 / (p[:, 0] - p[:, 0]))
 
 
+def test_hold_writes_the_data_and_zero_and_keeps_the_interior():
+    g = build_grid(DomainSpec.half_ball(1.0, 2), (9, 5))
+    bd = sample_boundary(g, lambda p: np.stack([p[:, 0], 1.0 + p[:, 1]], axis=-1))
+    vals = np.random.default_rng(3).uniform(-1, 1, g.dims + (2,))
+    before = vals.copy()
+    assert bd.hold(vals) is vals
+    assert np.array_equal(vals[g.boundary_mask], bd.values)
+    assert not vals[~g.in_mask].any()
+    assert np.array_equal(vals[g.interior_mask], before[g.interior_mask])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        bd.hold(np.zeros((2,) + g.dims)[:, ::-1].transpose(1, 2, 0))
+
+
 def test_restrict_full_box_identity():
     g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (9, 9))
     f = Field.from_values(g, np.arange(81, dtype=float).reshape(9, 9))

@@ -61,6 +61,19 @@ def test_full_energy_is_each_solves_final_energy(monkeypatch, w, ncomp):
     assert rep.full_energies == [energy(g, u, w).value for g, u in solves]
 
 
+def test_competitor_energy_is_the_start_the_descent_used():
+    # the box clips phi inside the domain: the start is not phi, and its
+    # energy (1.03 and 1.63) lies below E(phi sample) (1.62 and 2.22)
+    rep = solve_exhaustion(
+        phi=lambda p: np.exp(-(p[..., 0] ** 2 + (p[..., 1] - 1.0) ** 2)),
+        w=gaussian(1.0), radii=[2, 4], h=0.25, window=[(0, 1), (0, 1)], box_bound=0.6,
+    )
+    assert rep.competitor_energies == [float(r.energy_history[0]) for r in rep.reports]
+    assert rep.competitor_energies[0] < 1.1
+    for fe, ce in zip(rep.full_energies, rep.competitor_energies):
+        assert fe <= ce
+
+
 def test_window_fields_share_coordinates():
     rep = solve_exhaustion(
         phi=gauss_bump, w=gaussian(1.0), radii=[2, 4], h=0.5,

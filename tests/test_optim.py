@@ -149,6 +149,14 @@ def test_first_step_strictly_decreases_energy():
     assert rep.energy_history[1] < rep.energy_history[0]
 
 
+def test_minimize_refuses_an_init_of_the_wrong_shape():
+    g = square(9)
+    adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0]))
+    for init in (Field.zeros(g, 2), Field.zeros(square(7))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            minimize(g, gaussian(1.0), adm, opts=SolveOptions(init=init))
+
+
 def test_determinism_identical_runs():
     g = square(17)
     bd = sample_boundary(g, lambda p: p[:, 0] * (1 - p[:, 1]))
@@ -191,6 +199,11 @@ def test_kkt_residual_cases():
     bad[0, 0, 0] += 1.0
     with pytest.raises(ValueError, match="boundary"):
         kkt_residual(g, Field(g, 1, bad), gaussian(1.0), adm2)
+
+    outside = u.values.copy()
+    outside[4, 4, 0] = 1.5
+    with pytest.raises(ValueError, match="box bound"):
+        kkt_residual(g, Field(g, 1, outside), gaussian(1.0), adm2)
 
 
 @pytest.mark.parametrize(
@@ -288,12 +301,12 @@ def test_first_preconditioned_step_is_the_frozen_weight_minimizer(n, most):
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
     one, rep = minimize(g, w, adm, opts=SolveOptions(max_iters=1))
     assert rep.preconditioned_steps == 1 and rep.backtracks == 0
-    U = _project_values(poisson_dirichlet(g, None, adm.boundary).values, g, adm)
+    U = _project_values(poisson_dirichlet(g, None, adm.boundary).values, adm)
     _, _, grad, fb = energy_raw(g, U, w)
     metric = _Metric(g, None)
     metric.refresh(fb)
     d = metric.solve(grad()) / g.cell_volume
-    assert np.array_equal(one.values, _project_values(U - 0.5 * d, g, adm))
+    assert np.array_equal(one.values, _project_values(U - 0.5 * d, adm))
     u, rep = minimize(g, w, adm)
     assert rep.converged and rep.iterations <= most, rep.iterations
     assert kkt_residual(g, u, w, adm) <= rep.tol_pg
@@ -384,13 +397,13 @@ def test_no_progress_at_numerical_precision_stops_the_descent():
     assert not rep.converged
     assert 1000 <= rep.iterations < 5000
     assert np.all(np.diff(rep.energy_history) <= 0.0)
-    assert np.array_equal(_project_values(u.values, g, adm), u.values)
+    assert np.array_equal(_project_values(u.values, adm), u.values)
 
 
 def test_line_search_stalled_at_the_minimum_step_returns_the_start(monkeypatch):
     g = square(9)
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
-    start = _project_values(poisson_dirichlet(g, None, adm.boundary).values, g, adm)
+    start = _project_values(poisson_dirichlet(g, None, adm.boundary).values, adm)
     calls = []
 
     def nan_after_the_first(*args):

@@ -399,6 +399,16 @@ def test_inverse_estimate_where_the_density_underflows():
     assert np.abs(table.forward(u) - w).max() <= 1e-7
 
 
+def test_picard_that_does_not_contract_raises_with_its_residual(monkeypatch):
+    # this problem takes 7 steps
+    monkeypatch.setattr(oracle, "_PICARD_MAX_ITERS", 2)
+    g = interval(33)
+    bd = sample_boundary(g, lambda p: np.zeros(p.shape[0]))
+    with pytest.raises(oracle.ConvergenceError, match="did not contract within 2 steps") as exc:
+        solve_scalar_source(g, gaussian(1.0), bd, SourceField(g, np.ones(g.dims)))
+    assert exc.value.residual > oracle._PICARD_TOL
+
+
 def _mixed_data(p):
     return p[:, 0] + 0.5 * p[:, 1] ** 2
 

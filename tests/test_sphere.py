@@ -21,6 +21,7 @@ from quasimin import (
     stereo_project,
     sup_distance,
 )
+from quasimin.sphere import as_unit_points, candidate_poles
 from stencils import neighbor
 
 
@@ -92,6 +93,13 @@ def test_stereo_round_trip(raw):
         return
     back = stereo_inverse(pole, stereo_project(pole, v))
     assert np.linalg.norm(back - v) <= 1e-12
+
+
+def test_candidate_poles_on_s3_are_deterministic_unit_points():
+    pts = candidate_poles(3, 40)
+    assert pts.shape == (40, 4)
+    assert np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max() <= 1e-15
+    assert np.array_equal(pts, candidate_poles(3, 40))
 
 
 def test_choose_poles_single_point_margin():
@@ -205,6 +213,21 @@ def test_disk_equator_pair_distinct():
     z1 = r1.mapped.values[..., 2][g.interior_mask]
     z2 = r2.mapped.values[..., 2][g.interior_mask]
     assert z1.max() > 0.5 and z2.min() < -0.5  # opposite caps
+
+
+def test_disk_pair_with_s3_valued_data():
+    # the equator of the e1-e2 plane in S^3 bounds a circle of hemispheres,
+    # all of one energy; the two charts reach two far-apart ones
+    g = disk_grid(17)
+    bd = BoundaryData(g, np.pad(equator_boundary(g).values[:, :2], ((0, 0), (0, 2))))
+    r1, r2 = solve_harmonic_pair(g, bd)
+    assert r1.report.converged and r2.report.converged
+    assert r1.dirichlet_energy == pytest.approx(r2.dirichlet_energy, rel=1e-9)
+    assert sup_distance(r1.mapped, r2.mapped) >= 1.0
+    for r in (r1, r2):
+        norms = np.linalg.norm(r.mapped.values[g.in_mask], axis=-1)
+        assert np.abs(norms - 1.0).max() <= 1e-12
+        assert np.array_equal(r.mapped.values[g.boundary_mask], as_unit_points(bd.values))
 
 
 def test_chart_energy_matches_dirichlet_energy_under_refinement():
