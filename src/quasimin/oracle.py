@@ -24,9 +24,11 @@ Newton iteration on the tabulated monotone values, checked to a 1e-15
 relative residual.  A Picard step needs u only as accurately as the
 iteration's own stop (inexact Newton: Dembo, Eisenstat and Steihaug
 1982), so the steps take an unchecked estimate, a cubic Hermite start and
-one Newton step, at a third of the cost.  The estimate's error is not
-bounded, so the iteration stops only on a step taken with the checked
-inverse.
+one Newton step whose residual integrates the start's own table interval
+with 4 Gauss points, where a forward takes 12.  The estimate's error is
+not bounded, so the iteration stops only on a step taken with the checked
+inverse.  A Picard run prepares its Dirichlet solve once and takes every
+step's Poisson solve from it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class SourceField:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# inverse_estimate's Newton residual: the estimate's error is Newton's
+# quadratic term, and on the tables its tests build 3 to 12 points give
+# the same error against the checked inverse
+_GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 # odd, so that 0 is a table node and W(0) = 0 exactly
 _TABLE_NODES = 2049
 # the stopping rule of solve_scalar_source
@@ -69,14 +75,15 @@ _PICARD_TOL = 1e-10
 _PICARD_MAX_ITERS = 500
 
 
-def _gl_integrate(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gl_integrate(fn, a: np.ndarray, b: np.ndarray,
+                  nodes=_GL_NODES, weights=_GL_WEIGHTS) -> np.ndarray:
     """Fixed-order Gauss-Legendre integral of fn over [a, b], elementwise."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     acc = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    for x, wgt in zip(_GL_NODES, _GL_WEIGHTS):
+    for x, wgt in zip(nodes, weights):
         acc = acc + wgt * fn(mid + half * x)
     return acc * half
 
@@ -86,9 +93,10 @@ class TransformTable:
 
     inverse is the checked W^{-1}: a linear start on the table interval,
     then Newton steps until the residual in w is at most 1e-15 (1 + |w|).
-    inverse_estimate costs one forward and checks nothing.  Its error
-    grows with the interval width times the slope of f: on |u| <= 3 for
-    gaussian(1), 2e-14 on a table of range 14 and 1.2e-12 at range 38.
+    inverse_estimate costs one 4-point quadrature on the table interval
+    and checks nothing.  Its error grows with the interval width times
+    the slope of f: on |u| <= 3 for gaussian(1), 2e-14 on a table of
+    range 14 and 1.2e-12 at range 38.
     A range past the point where e^{f/2} underflows is cut back to where
     every interval integrates to a positive value (gaussian(1): range 39
     becomes 38.50), and an argument beyond the cut is refused because the
@@ -195,17 +203,19 @@ class TransformTable:
         return u
 
     def inverse_estimate(self, w) -> np.ndarray:
-        """W^{-1}(w), unchecked, at the cost of one forward.
+        """W^{-1}(w), unchecked, at the cost of one 4-point quadrature.
 
         A cubic Hermite start in w on the table interval, with the slopes
         du/dw = e^{-f/2} of its ends, then one Newton step, clipped to the
-        interval.
+        interval.  The step's residual W(u) - w is (w_k - w) plus the
+        integral of e^{f/2} from the interval's lower end to u.
         """
         wc, k, lo, hi, dw, t = self._bracket(w)
         s = 1.0 - t
         u = np.clip(lo + t * t * (3.0 - 2.0 * t) * (hi - lo) + dw * t * s * (
             s * self._dudw[k] - t * self._dudw[k + 1]), lo, hi)
-        resid = self.forward(u) - wc
+        resid = (self.table_w[k] - wc) + _gl_integrate(self._density, lo, u,
+                                                       _GL4_NODES, _GL4_WEIGHTS)
         density = self._density(u)
         # a step at least as long as the interval is clipped to one of its
         # ends; taking that end without the division keeps a density that
@@ -318,30 +328,26 @@ def _pcg(apply, precond, b: np.ndarray, maxiter: int) -> np.ndarray:
                            residual=float(np.sqrt(np.sum(r * r))))
 
 
-def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
-                      boundary: BoundaryData) -> Field:
-    """Solve -Delta_h v = rhs with Dirichlet data, per component.
+def _dirichlet_solve(grid: Grid, boundary: BoundaryData):
+    """poisson_dirichlet's per-data work, done once; returns solve(rhs).
 
-    Standard second-order cross stencil on interior nodes; rhs applies to
-    every component.  Box grids solve directly by box_laplacian_inverse.
-    Elsewhere CG runs on the interior nodes, preconditioned by
-    M = R L^{-1} R^T: R^T scatters a residual onto the bounding lattice
-    (zero off the interior), L^{-1} is lattice_laplacian_inverse, and R
-    gathers the interior back (Concus and Golub 1973); an interior node
-    with no interior neighbour is its own block of M.  The operator and M
-    are symmetric positive definite, so CG failure signals an assembly bug
-    and raises ConvergenceError.
+    The work is the lift of the data onto the interior's right-hand side,
+    and box_laplacian_inverse on box grids or the CG operator and its
+    preconditioner elsewhere.  solve(rhs), with rhs a SourceField or None,
+    returns a new array of values, the same bits as poisson_dirichlet's.
     """
     if grid.num_interior == 0:
         raise ValueError("grid has no interior nodes")
     bfield = boundary.hold(np.zeros(grid.dims + (boundary.ncomp,)))
     # move the boundary columns to the right-hand side
-    b = _neighbor_sum(bfield, grid)
-    if rhs is not None:
-        b += rhs.values[..., None]
+    lift = _neighbor_sum(bfield, grid)
+
+    def source(rhs: SourceField | None) -> np.ndarray:
+        return lift if rhs is None else lift + rhs.values[..., None]
+
     lap_inv = box_laplacian_inverse(grid)
     if lap_inv is not None:
-        return Field(grid, boundary.ncomp, lap_inv(b) + bfield)
+        return lambda rhs: lap_inv(source(rhs)) + bfield
 
     int_idx = grid.interior_indices
     diag = 2.0 * sum(1.0 / h**2 for h in grid.spacing)
@@ -367,11 +373,34 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
         out[lone] = r_int[lone] / diag
         return out
 
-    flat = bfield.reshape(grid.num_nodes, boundary.ncomp)  # a view of bfield
-    for a in range(boundary.ncomp):
-        flat[int_idx, a] = _pcg(apply_homogeneous, apply_preconditioner,
-                                b[..., a].reshape(-1)[int_idx], 20 * int_idx.size + 200)
-    return Field(grid, boundary.ncomp, bfield)
+    def solve(rhs: SourceField | None) -> np.ndarray:
+        b = source(rhs)
+        # CG fills the interior of a copy, so the lift serves every call
+        values = bfield.copy()
+        flat = values.reshape(grid.num_nodes, boundary.ncomp)  # a view of values
+        for a in range(boundary.ncomp):
+            flat[int_idx, a] = _pcg(apply_homogeneous, apply_preconditioner,
+                                    b[..., a].reshape(-1)[int_idx], 20 * int_idx.size + 200)
+        return values
+
+    return solve
+
+
+def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
+                      boundary: BoundaryData) -> Field:
+    """Solve -Delta_h v = rhs with Dirichlet data, per component.
+
+    Standard second-order cross stencil on interior nodes; rhs applies to
+    every component.  Box grids solve directly by box_laplacian_inverse.
+    Elsewhere CG runs on the interior nodes, preconditioned by
+    M = R L^{-1} R^T: R^T scatters a residual onto the bounding lattice
+    (zero off the interior), L^{-1} is lattice_laplacian_inverse, and R
+    gathers the interior back (Concus and Golub 1973); an interior node
+    with no interior neighbour is its own block of M.  The operator and M
+    are symmetric positive definite, so CG failure signals an assembly bug
+    and raises ConvergenceError.
+    """
+    return Field(grid, boundary.ncomp, _dirichlet_solve(grid, boundary)(rhs))
 
 
 def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData) -> Field:
@@ -401,16 +430,19 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
     first of those that moves v by at most _PICARD_TOL ends the iteration.
     An estimate's error shifts the fixed point the steps approach, so the
     one step with the checked inverse verifies the answer, or the checked
-    steps go on to the true fixed point.  Returns that step's u_k, phi on
-    the boundary nodes, and the number of steps; fails after
-    _PICARD_MAX_ITERS steps.
+    steps go on to the true fixed point.  The first checked step moves v
+    by that shift, which says nothing of divergence: the residual it is
+    compared with restarts at infinity there, so the switch keeps the
+    damping.  Every step's Poisson solve comes from one _dirichlet_solve.
+    Returns that step's u_k, phi on the boundary nodes, and the number of
+    steps; fails after _PICARD_MAX_ITERS steps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     hmax = float(np.abs(h.values[grid.in_mask]).max()) if h.values.size else 0.0
     table = TransformTable(f, default_table_range(boundary) + hmax)
-    wb = table.boundary_values(boundary)
-    v = poisson_dirichlet(grid, None, wb).values[..., 0]
+    solve = _dirichlet_solve(grid, table.boundary_values(boundary))
+    v = solve(None)[..., 0]
 
     theta = damping
     prev_resid = np.inf
@@ -419,19 +451,18 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
         invert = table.inverse if checked else table.inverse_estimate
         u = invert(np.where(grid.in_mask, v, 0.0))
         scale = np.exp(0.5 * f.f_total(u[..., None]))
-        rhs = SourceField(grid, scale * h.values)
-        v_raw = poisson_dirichlet(grid, rhs, wb).values[..., 0]
+        v_raw = solve(SourceField(grid, scale * h.values))[..., 0]
         v_next = (1.0 - theta) * v + theta * v_raw
         resid = float(np.abs((v_next - v)[grid.in_mask]).max())
-        if resid <= _PICARD_TOL:
-            if checked:
-                return Field(grid, 1, boundary.hold(u[..., None])), k
-            checked = True
+        if resid <= _PICARD_TOL and checked:
+            return Field(grid, 1, boundary.hold(u[..., None])), k
         v = v_next
         if resid > prev_resid:
             theta *= 0.5
         prev_resid = resid
+        if resid <= _PICARD_TOL:
+            checked, prev_resid = True, np.inf
     raise ConvergenceError(
         f"Picard iteration did not contract within {_PICARD_MAX_ITERS} steps",
-        residual=prev_resid,
+        residual=resid,
     )

@@ -18,10 +18,13 @@ _ROOT = Path(__file__).resolve().parents[1]
         ("geodesic_pair.py", ["--nodes", "51"], "nodes: 51"),
         ("halfspace_stabilization.py", ["--radii", "2", "4", "--spacing", "0.5"],
          "R sup|u| E_window E_full E(phi) win diff"),
-        ("solve_cost.py", ["--square", "65", "--disk", "65", "--repeat", "1"],
+        ("solve_cost.py", ["--square", "65", "--disk", "65", "--picard", "--repeat", "1"],
+         "domain n iters evals solve_s poisson_s ratio"),
+        ("solve_cost.py", ["--square", "--disk", "--picard", "33", "--repeat", "1"],
          "domain n iters evals solve_s poisson_s ratio"),
     ],
-    ids=["oracle_convergence", "geodesic_pair", "halfspace_stabilization", "solve_cost"],
+    ids=["oracle_convergence", "geodesic_pair", "halfspace_stabilization", "solve_cost",
+         "solve_cost_picard"],
 )
 def test_script_runs_and_prints_its_header(script, args, header):
     env = dict(os.environ)
