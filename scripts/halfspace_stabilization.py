@@ -29,11 +29,11 @@ def main():
     )
     print(f"box bound: {rep.box_bound}, uniform bound ok: {rep.uniform_bound_ok}")
     print(f"{'R':>6s} {'sup|u|':>10s} {'E_window':>12s} {'E_full':>12s} {'E(phi)':>12s} {'win diff':>12s}")
-    for k, r in enumerate(rep.radii):
+    for k, (r, solve) in enumerate(zip(rep.radii, rep.reports)):
         diff = f"{rep.window_diffs[k - 1]:12.4e}" if k else "           -"
         print(
             f"{r:6.1f} {rep.sup_norms[k]:10.6f} {rep.window_energies[k]:12.6f} "
-            f"{rep.full_energies[k]:12.6f} {rep.competitor_energies[k]:12.6f} {diff}"
+            f"{solve.final_energy:12.6f} {solve.energy_history[0]:12.6f} {diff}"
         )
 
 

@@ -10,7 +10,7 @@ the boundary}, with independent exact oracles (half-weight transform, sphere
 geodesics) for verification.
 """
 
-from .energy import CoefficientTensor, EnergyValue, el_residual, ellipticity_bounds, energy, grad_energy
+from .energy import CoefficientTensor, EnergyValue, el_residual, ellipticity_bounds, energy
 from .grids import (
     BOUNDARY,
     EXTERIOR,
@@ -49,7 +49,6 @@ from .weights import (
     Weight,
     WeightReport,
     constant,
-    custom,
     gaussian,
     sphere_chart,
     validate_weight,

@@ -140,8 +140,8 @@ def _run_sphere(spec, seed):
         "converged": r1.report.converged and r2.report.converged,
         "energy_a": r1.dirichlet_energy,
         "energy_b": r2.dirichlet_energy,
-        "chart_energy_a": r1.chart_energy,
-        "chart_energy_b": r2.chart_energy,
+        "chart_energy_a": r1.report.final_energy,
+        "chart_energy_b": r2.report.final_energy,
         "residual_a": r1.residual,
         "residual_b": r2.residual,
         "sup_distance": sup_distance(r1.mapped, r2.mapped),
@@ -175,13 +175,13 @@ def _run_halfspace(spec, seed):
         "uniform_bound_ok": rep.uniform_bound_ok,
         "box_bound": " ".join(fieldio._fmt(c) for c in rep.box_bound),
     }
-    for k, r in enumerate(rep.radii):
+    for k, (r, solve_rep) in enumerate(zip(rep.radii, rep.reports)):
         items[f"radius_{k}"] = r
         items[f"sup_norm_{k}"] = rep.sup_norms[k]
         items[f"window_energy_{k}"] = rep.window_energies[k]
-        items[f"energy_{k}"] = rep.full_energies[k]
-        items[f"competitor_energy_{k}"] = rep.competitor_energies[k]
-        items[f"iterations_{k}"] = rep.reports[k].iterations
+        items[f"energy_{k}"] = solve_rep.final_energy
+        items[f"competitor_energy_{k}"] = solve_rep.energy_history[0]
+        items[f"iterations_{k}"] = solve_rep.iterations
     for k, d in enumerate(rep.window_diffs, start=1):
         items[f"window_diff_{k}"] = d
     return {"field": rep.window_fields[-1], "history": rep.reports[-1], "summary": items}

@@ -10,7 +10,7 @@ every component and read at the cell midpoint from the one evaluation of
 sample_tensor (see there for every point it covers).  to_cells forms the
 average and every D_i in one pass of 1D two-point stencils, and the
 gradient applies its exact transpose, to_nodes.  The assembly is a
-fixed-order sum over cells, so results are bit-reproducible.  grad_energy
+fixed-order sum over cells, so results are bit-reproducible.  grad_raw
 returns the analytic partial derivatives of this discrete sum with respect
 to interior nodal values.
 
@@ -19,7 +19,7 @@ el_residual is the strong-form diagnostic for the system
     -e^{-f(U)} div(e^{f(U)} A grad U) + (1/2) f'(U) <A grad U, grad U> = 0,
 
 discretized with second-order central stencils and midpoint flux weights.
-It agrees with grad_energy / (2 e^f vol) up to O(h^2); optimality of the
+It agrees with grad_raw / (2 e^f vol) up to O(h^2); optimality of the
 constrained minimization problem is judged by the projected gradient, not
 by this residual.
 """
@@ -293,12 +293,6 @@ def energy(grid: Grid, U: Field, w: Weight,
     return EnergyValue(value=value, cell_values=cells, q_norms=q_norms)
 
 
-def grad_energy(grid: Grid, U: Field, w: Weight,
-                A: CoefficientTensor | None = None) -> Field:
-    """Analytic gradient of the discrete energy (zero on boundary nodes)."""
-    return Field(grid, U.ncomp, grad_raw(grid, U.values, w, A))
-
-
 def el_residual(grid: Grid, U: Field, w: Weight,
                 A: CoefficientTensor | np.ndarray | None = None) -> Field:
     """Strong-form residual at interior nodes using central stencils.
@@ -337,7 +331,7 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     grad_sq = _term_sum(sq)
     res = -np.exp(-f_node)[..., None] * div + 0.5 * w.fprime(vals) * grad_sq[..., None]
     res[~grid.interior_mask] = 0.0
-    return Field(grid, U.ncomp, res)
+    return Field(grid, res)
 
 
 def ellipticity_bounds(A: CoefficientTensor, sample_points: np.ndarray) -> tuple[float, float]:

@@ -129,7 +129,7 @@ def read_field(path) -> tuple[Field, Grid]:
                          f"and a class in {_CLASSES}")
     grid = Grid(dims, spacing, origin, body[:, n].astype(np.int8).reshape(dims))
     values = np.ascontiguousarray(body[:, n + 1 :]).reshape(dims + (ncomp,))
-    return Field(grid, ncomp, values), grid
+    return Field(grid, values), grid
 
 
 def _render(value) -> str:

@@ -225,33 +225,26 @@ def build_grid(domain: DomainSpec, resolution: Sequence[int]) -> Grid:
 class Field:
     """Vector-valued nodal function on a grid.
 
-    values has shape grid.dims + (ncomp,); entries at exterior nodes are
-    conventionally zero and never enter energies or residuals.
+    values has shape grid.dims + (ncomp,), and ncomp is read from its last
+    axis; entries at exterior nodes are conventionally zero and never enter
+    energies or residuals.
     """
 
     grid: Grid
-    ncomp: int
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float)
-        want = self.grid.dims + (self.ncomp,)
-        if self.values.shape != want:
-            raise ValueError(f"field shape {self.values.shape} != {want}")
+        if self.values.shape[:-1] != self.grid.dims:
+            raise ValueError(f"field shape {self.values.shape} != "
+                             f"{self.grid.dims} + (ncomp,)")
         if not np.isfinite(self.values[self.grid.in_mask]).all():
             raise ValueError("field holds non-finite values on in-domain nodes")
         self.values.setflags(write=False)
 
-    @staticmethod
-    def zeros(grid: Grid, ncomp: int = 1) -> "Field":
-        return Field(grid, ncomp, np.zeros(grid.dims + (ncomp,)))
-
-    @staticmethod
-    def from_values(grid: Grid, values: np.ndarray) -> "Field":
-        values = np.asarray(values, dtype=float)
-        if values.shape == grid.dims:
-            values = values[..., None]
-        return Field(grid, values.shape[-1], values)
+    @property
+    def ncomp(self) -> int:
+        return self.values.shape[-1]
 
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1, self.ncomp)
@@ -361,4 +354,4 @@ def restrict(field: Field, window) -> Field:
     )
     sub = Grid(dims, grid.spacing, origin, cls)
     vals = field.values[slices + (slice(None),)]
-    return Field(sub, field.ncomp, vals.copy())
+    return Field(sub, vals.copy())

@@ -9,10 +9,11 @@ solutions restricted to the window, window energies, and the exact uniform
 bound |u_R| <= C enforced by the box constraint.
 
 Each solve starts from the sampled phi projected into the box, which is
-phi itself under the default box, and reports the energy of that start as
-the competitor energy: E(u_R) <= E(start) holds exactly by monotonicity of
-the descent.  A box_bound that clips phi inside the domain changes the
-start, and E(phi sample) is then no bound on E(u_R).
+phi itself under the default box.  The energy of that start, the first
+entry of the solve's energy history, is the competitor energy: E(u_R) <=
+E(start) holds exactly by monotonicity of the descent.  A box_bound that
+clips phi inside the domain changes the start, and E(phi sample) is then
+no bound on E(u_R).
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ class ExhaustionReport:
     sup_norms: list[float]
     window_energies: list[float]
     window_diffs: list[float]  # one entry per consecutive radius pair
-    full_energies: list[float]
-    competitor_energies: list[float]  # E(start), an exact upper bound of full_energies
     uniform_bound_ok: bool
     box_bound: np.ndarray
     window_fields: list[Field] = dataclass_field(default_factory=list)
+    # per radius: final_energy is E(u_R), energy_history[0] is E(start)
     reports: list[SolveReport] = dataclass_field(default_factory=list)
 
     @property
@@ -105,7 +105,7 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
         vals = np.where(g.in_mask[..., None], vals, 0.0)
         if not np.isfinite(vals[g.in_mask]).all():
             raise ValueError("phi evaluated to non-finite values")
-        phi_fields.append(Field(g, vals.shape[-1], vals))
+        phi_fields.append(Field(g, vals))
 
     if box_bound is None:
         box = np.zeros(phi_fields[0].ncomp)
@@ -117,8 +117,7 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
 
     report = ExhaustionReport(
         radii=radii, sup_norms=[], window_energies=[], window_diffs=[],
-        full_energies=[], competitor_energies=[], uniform_bound_ok=True,
-        box_bound=box,
+        uniform_bound_ok=True, box_bound=box,
     )
     prev_window = None
     for g, phi_f in zip(grids, phi_fields):
@@ -130,8 +129,6 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
         sup = u.sup_norm()
         report.sup_norms.append(sup)
         report.uniform_bound_ok &= sup <= box_sup
-        report.full_energies.append(solve_rep.final_energy)
-        report.competitor_energies.append(float(solve_rep.energy_history[0]))
 
         u_win = restrict(u, window)
         report.window_energies.append(energy(u_win.grid, u_win, w).value)

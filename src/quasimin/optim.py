@@ -155,7 +155,7 @@ def project_admissible(U: Field, adm: AdmissibleSet) -> Field:
     """
     if U.ncomp != adm.ncomp:
         raise ValueError("field components do not match the admissible set")
-    return Field(U.grid, U.ncomp, _project_values(U.values, adm))
+    return Field(U.grid, _project_values(U.values, adm))
 
 
 def _projected_gradient(values: np.ndarray, grad: np.ndarray,
@@ -391,7 +391,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         preconditioned_steps=pre_steps,
         factorizations=metric.factorizations,
     )
-    return Field(grid, adm.ncomp, U), report
+    return Field(grid, U), report
 
 
 def kkt_residual(grid: Grid, U: Field, w: Weight, adm: AdmissibleSet,

@@ -400,7 +400,7 @@ def poisson_dirichlet(grid: Grid, rhs: SourceField | None,
     are symmetric positive definite, so CG failure signals an assembly bug
     and raises ConvergenceError.
     """
-    return Field(grid, boundary.ncomp, _dirichlet_solve(grid, boundary)(rhs))
+    return Field(grid, _dirichlet_solve(grid, boundary)(rhs))
 
 
 def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData) -> Field:
@@ -415,7 +415,7 @@ def solve_scalar_exact(grid: Grid, f: Weight, boundary: BoundaryData) -> Field:
     # the inverse runs on the boundary nodes too, so the interior bits and
     # the Newton count do not depend on the data held over them
     u = table.inverse(np.where(grid.in_mask, wfield.values[..., 0], 0.0))
-    return Field(grid, 1, boundary.hold(u[..., None]))
+    return Field(grid, boundary.hold(u[..., None]))
 
 
 def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
@@ -455,7 +455,7 @@ def solve_scalar_source(grid: Grid, f: Weight, boundary: BoundaryData,
         v_next = (1.0 - theta) * v + theta * v_raw
         resid = float(np.abs((v_next - v)[grid.in_mask]).max())
         if resid <= _PICARD_TOL and checked:
-            return Field(grid, 1, boundary.hold(u[..., None])), k
+            return Field(grid, boundary.hold(u[..., None])), k
         v = v_next
         if resid > prev_resid:
             theta *= 0.5

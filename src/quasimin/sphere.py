@@ -72,10 +72,6 @@ class ChartPole:
         if np.abs(frame @ frame.T - np.eye(frame.shape[0])).max() > 1e-12:
             raise ValueError("chart frame is not orthonormal")
 
-    @property
-    def chart_dim(self) -> int:
-        return self.axes.shape[0]
-
     def antipode(self) -> "ChartPole":
         return make_pole(-self.pole)
 
@@ -175,12 +171,14 @@ def choose_poles(boundary_points: np.ndarray) -> ChartPole:
 
 @dataclass
 class SphereMapResult:
-    """One chart solve: chart solution, mapped-back sphere field, diagnostics."""
+    """One chart solve: chart solution, mapped-back sphere field, diagnostics.
+
+    The chart energy is report.final_energy.
+    """
 
     chart: Field
     mapped: Field
     dirichlet_energy: float
-    chart_energy: float
     residual: float
     pole: ChartPole
     report: SolveReport
@@ -233,13 +231,12 @@ def solve_chart(grid: Grid, boundary: BoundaryData, pole: ChartPole,
     U, report = minimize(grid, w, adm, opts=opts)
 
     unit_bdry = BoundaryData(grid, as_unit_points(boundary.values))
-    V = Field(grid, unit_bdry.ncomp, unit_bdry.hold(stereo_inverse(pole, U.values)))
+    V = Field(grid, unit_bdry.hold(stereo_inverse(pole, U.values)))
 
     dirichlet = energy(grid, V, constant(0.0)).value
     res = harmonic_residual(grid, V)
     return SphereMapResult(
-        chart=U, mapped=V, dirichlet_energy=dirichlet, chart_energy=report.final_energy,
-        residual=res, pole=pole, report=report,
+        chart=U, mapped=V, dirichlet_energy=dirichlet, residual=res, pole=pole, report=report,
     )
 
 
@@ -287,13 +284,12 @@ def _interval_circle_pair(grid: Grid, boundary: BoundaryData,
     short_res = solve_chart(grid, circle_bdry, pole_on_long, opts)
 
     def embed(res: SphereMapResult) -> SphereMapResult:
-        field = Field(grid, unit_bdry.ncomp, unit_bdry.hold(res.mapped.values @ plane))
+        field = Field(grid, unit_bdry.hold(res.mapped.values @ plane))
         pole3 = make_pole(res.pole.pole @ plane)
         return SphereMapResult(
             chart=res.chart,
             mapped=field,
             dirichlet_energy=energy(grid, field, constant(0.0)).value,
-            chart_energy=res.chart_energy,
             residual=harmonic_residual(grid, field),
             pole=pole3,
             report=res.report,

@@ -106,10 +106,6 @@ def constant(c: float = 0.0) -> Weight:
     )
 
 
-def custom(f: Callable, g: Callable, label: str = "custom") -> Weight:
-    return Weight(f=f, g=g, label=label)
-
-
 @dataclass(frozen=True)
 class WeightReport:
     min_g: float

@@ -236,7 +236,7 @@ def test_criterion_06_harmonic_residual_order():
         grid = build_grid(DomainSpec.box([(0, 1)]), (n,))
         th = grid.axis_coords()[0] * (np.pi / 2.0)
         V = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
-        res.append(harmonic_residual(grid, Field(grid, 3, V)))
+        res.append(harmonic_residual(grid, Field(grid, V)))
     r1 = res[0] / res[1]
     r2 = res[1] / res[2]
     _report(

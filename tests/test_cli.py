@@ -147,7 +147,7 @@ def test_solve_summary_counts_the_work(tmp_path):
 def test_field_round_trip_bit_exact(tmp_path):
     g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (7, 7))
     rng = np.random.default_rng(0)
-    f = Field(g, 2, np.where(g.in_mask[..., None], rng.standard_normal(g.dims + (2,)), 0.0))
+    f = Field(g, np.where(g.in_mask[..., None], rng.standard_normal(g.dims + (2,)), 0.0))
     path = tmp_path / "f.field"
     write_field(f, path)
     back, grid2 = read_field(path)
@@ -194,7 +194,7 @@ def _special_values(grid, ncomp):
 @_DUMP_GRIDS
 def test_field_dump_bytes_match_per_node_rendering(tmp_path, grid, ncomp):
     path = tmp_path / "f.field"
-    field = Field(grid, ncomp, _special_values(grid, ncomp))
+    field = Field(grid, _special_values(grid, ncomp))
     write_field(field, path)
     assert path.read_bytes() == _per_node_dump(field)
 
@@ -205,7 +205,7 @@ def test_read_field_round_trips_bits(tmp_path, grid, ncomp):
     exterior = np.flatnonzero(~grid.in_mask.ravel())
     vals.reshape(-1, ncomp)[exterior[:3]] = np.array([np.inf, -np.inf, np.nan])[:len(exterior), None]
     path = tmp_path / "f.field"
-    write_field(Field(grid, ncomp, vals), path)
+    write_field(Field(grid, vals), path)
     back, grid2 = read_field(path)
     assert back.ncomp == ncomp
     assert np.array_equal(back.values.view(np.int64), vals.view(np.int64))
@@ -254,7 +254,7 @@ _MALFORMED_MESSAGES = {
 def test_read_field_rejects_malformed_dumps(tmp_path, case):
     grid = build_grid(DomainSpec.box([(0, 1), (0, 0.75)]), (3, 4))
     path = tmp_path / "f.field"
-    write_field(Field(grid, 2, np.arange(24.0).reshape(3, 4, 2)), path)
+    write_field(Field(grid, np.arange(24.0).reshape(3, 4, 2)), path)
     path.write_text("\n".join(_malformed(path.read_text().splitlines())[case]) + "\n")
     with pytest.raises(ValueError, match=_MALFORMED_MESSAGES[case]):
         read_field(path)
@@ -262,7 +262,7 @@ def test_read_field_rejects_malformed_dumps(tmp_path, case):
 
 def test_constant_field_dump_columns(tmp_path):
     g = build_grid(DomainSpec.box([(0, 1)]), (5,))
-    f = Field(g, 1, np.full(g.dims + (1,), 0.3))
+    f = Field(g, np.full(g.dims + (1,), 0.3))
     path = tmp_path / "c.field"
     write_field(f, path)
     rows = path.read_text().splitlines()[4:]

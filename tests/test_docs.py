@@ -1,8 +1,10 @@
 """README's Layout block names only what its modules hold, and every script;
-its spec-key table has one row per key of the spec reader."""
+its spec-key table has one row per key of the spec reader; its library
+example runs."""
 
 import functools
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -69,3 +71,13 @@ def test_spec_key_table_has_one_row_per_key():
             rows.append((section.group(1) if section else "", cells[1].strip("`")))
     assert len(rows) == len(set(rows))
     assert set(rows) == set(specfile._KEYS)
+
+
+def test_library_example_prints_one_line_of_two_finite_numbers(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README library example", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    numbers = [float(t) for t in lines[0].split()]
+    assert len(numbers) == 2 and all(math.isfinite(x) for x in numbers)

@@ -155,9 +155,26 @@ def test_hold_writes_the_data_and_zero_and_keeps_the_interior():
         bd.hold(np.zeros((2,) + g.dims)[:, ::-1].transpose(1, 2, 0))
 
 
+def test_field_reads_its_component_count_and_refuses_bad_values():
+    g = build_grid(DomainSpec.half_ball(1.0, 2), (9, 5))
+    for ncomp in (1, 3):
+        assert Field(g, np.zeros(g.dims + (ncomp,))).ncomp == ncomp
+    # exterior nodes may hold anything; in-domain nodes must be finite
+    vals = np.zeros(g.dims + (2,))
+    vals[~g.in_mask] = np.nan
+    assert (~g.in_mask).any() and Field(g, vals.copy()).ncomp == 2
+    for bad in (np.zeros(g.dims), np.zeros((9, 4, 1)), np.zeros((5, 9, 1)),
+                np.zeros(g.dims + (1, 1))):
+        with pytest.raises(ValueError, match="field shape"):
+            Field(g, bad)
+    vals[tuple(np.argwhere(g.interior_mask)[0])] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        Field(g, vals)
+
+
 def test_restrict_full_box_identity():
     g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (9, 9))
-    f = Field.from_values(g, np.arange(81, dtype=float).reshape(9, 9))
+    f = Field(g, np.arange(81, dtype=float).reshape(9, 9)[..., None])
     r = restrict(f, [(0, 1), (0, 1)])
     assert np.array_equal(r.values, f.values)
     assert np.array_equal(r.grid.node_class, g.node_class)
@@ -165,11 +182,11 @@ def test_restrict_full_box_identity():
 
 def test_restrict_constant_and_values():
     g = build_grid(DomainSpec.box([(0, 1)]), (5,))
-    const = Field.from_values(g, np.full(5, 3.25))
+    const = Field(g, np.full(5, 3.25)[..., None])
     r = restrict(const, [(0.25, 0.75)])
     assert np.all(r.values == 3.25)
 
-    lin = Field.from_values(g, g.axis_coords()[0])
+    lin = Field(g, g.axis_coords()[0][..., None])
     r2 = restrict(lin, [(0, 0.5)])
     assert np.allclose(r2.values[:, 0], [0.0, 0.25, 0.5])
 
@@ -177,7 +194,7 @@ def test_restrict_constant_and_values():
 def test_restrict_composes():
     g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (9, 9))
     rng = np.random.default_rng(3)
-    f = Field.from_values(g, rng.standard_normal((9, 9)))
+    f = Field(g, rng.standard_normal((9, 9))[..., None])
     outer = restrict(f, [(0, 0.75), (0.25, 1.0)])
     inner_direct = restrict(f, [(0.25, 0.5), (0.5, 0.75)])
     inner_nested = restrict(outer, [(0.25, 0.5), (0.5, 0.75)])
@@ -187,13 +204,13 @@ def test_restrict_composes():
 
 def test_restrict_misaligned_window():
     g = build_grid(DomainSpec.box([(0, 1)]), (5,))
-    f = Field.zeros(g)
+    f = Field(g, np.zeros(g.dims + (1,)))
     with pytest.raises(ValueError, match="aligned"):
         restrict(f, [(0.1, 0.6)])
 
 
 def test_restrict_window_outside_grid():
     g = build_grid(DomainSpec.box([(0, 1)]), (5,))
-    f = Field.zeros(g)
+    f = Field(g, np.zeros(g.dims + (1,)))
     with pytest.raises(ValueError, match="outside"):
         restrict(f, [(0.5, 1.25)])

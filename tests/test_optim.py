@@ -11,9 +11,9 @@ from quasimin import (
     DomainSpec,
     Field,
     SolveOptions,
+    Weight,
     build_grid,
     constant,
-    custom,
     gaussian,
     kkt_residual,
     minimize,
@@ -64,7 +64,7 @@ def test_project_clamps_and_pins_boundary():
     vals = np.zeros(g.dims + (2,))
     vals[2] = [5.0, -5.0]
     vals[0] = [7.0, 7.0]
-    f = Field(g, 2, vals)
+    f = Field(g, vals)
     p = project_admissible(f, adm)
     assert np.array_equal(p.values[2], [1.0, -1.0])
     assert np.array_equal(p.values[0], [0.3, 0.3])
@@ -78,7 +78,7 @@ def test_projection_idempotent(interior_vals):
     adm = AdmissibleSet.from_boundary(bd)
     vals = np.zeros(g.dims + (1,))
     vals[1:4, 0] = interior_vals
-    once = project_admissible(Field(g, 1, vals), adm)
+    once = project_admissible(Field(g, vals), adm)
     twice = project_admissible(once, adm)
     assert np.array_equal(once.values, twice.values)
 
@@ -87,7 +87,7 @@ def test_constant_boundary_converges_immediately():
     g = square(9)
     bd = sample_boundary(g, lambda p: np.full(p.shape[0], 0.4))
     adm = AdmissibleSet(np.array([0.5]), bd)
-    opts = SolveOptions(init=Field(g, 1, np.full(g.dims + (1,), 0.4)))
+    opts = SolveOptions(init=Field(g, np.full(g.dims + (1,), 0.4)))
     u, rep = minimize(g, gaussian(1.0), adm, opts=opts)
     assert rep.converged and rep.iterations <= 2
     assert rep.final_energy == 0.0
@@ -98,7 +98,7 @@ def test_constant_weight_recovers_harmonic_extension():
     g = square(33)
     bd = sample_boundary(g, lambda p: p[:, 0] * p[:, 1])
     adm = AdmissibleSet.from_boundary(bd)
-    start = Field(g, 1, np.full(g.dims + (1,), bd.values.mean()))
+    start = Field(g, np.full(g.dims + (1,), bd.values.mean()))
     opts = SolveOptions(init=start, tol_pg=1e-10)
     u, rep = minimize(g, constant(0.0), adm, opts=opts)
     assert rep.converged
@@ -142,7 +142,7 @@ def test_first_step_strictly_decreases_energy():
     bd = sample_boundary(g, lambda p: p[:, 0])
     adm = AdmissibleSet.from_boundary(bd)
     init = project_admissible(
-        Field(g, 1, np.random.default_rng(7).uniform(-1, 1, g.dims + (1,))), adm
+        Field(g, np.random.default_rng(7).uniform(-1, 1, g.dims + (1,))), adm
     )
     opts = SolveOptions(init=init, max_iters=1)
     _, rep = minimize(g, gaussian(1.0), adm, opts=opts)
@@ -152,7 +152,7 @@ def test_first_step_strictly_decreases_energy():
 def test_minimize_refuses_an_init_of_the_wrong_shape():
     g = square(9)
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0]))
-    for init in (Field.zeros(g, 2), Field.zeros(square(7))):
+    for init in (Field(g, np.zeros(g.dims + (2,))), Field(square(7), np.zeros((7, 7, 1)))):
         with pytest.raises(ValueError, match="wrong shape"):
             minimize(g, gaussian(1.0), adm, opts=SolveOptions(init=init))
 
@@ -172,7 +172,7 @@ def test_active_constraints_reported_with_tight_box():
     g = square(17)
     bd = sample_boundary(g, lambda p: np.full(p.shape[0], 0.2))
     adm = AdmissibleSet(np.array([0.2]), bd)
-    init = Field(g, 1, np.full(g.dims + (1,), 0.2))
+    init = Field(g, np.full(g.dims + (1,), 0.2))
     # boundary 0.2 everywhere, weight pulls solution to the constant: stays at bound
     u, rep = minimize(g, gaussian(1.0), adm, opts=SolveOptions(init=init))
     assert rep.converged
@@ -183,7 +183,7 @@ def test_kkt_residual_cases():
     g = square(9)
     bd = sample_boundary(g, lambda p: np.full(p.shape[0], 0.4))
     adm = AdmissibleSet(np.array([1.0]), bd)
-    const = Field(g, 1, np.full(g.dims + (1,), 0.4))
+    const = Field(g, np.full(g.dims + (1,), 0.4))
     assert kkt_residual(g, const, gaussian(1.0), adm) == 0.0
 
     bd2 = sample_boundary(g, lambda p: p[:, 0])
@@ -193,17 +193,17 @@ def test_kkt_residual_cases():
 
     bumped = u.values.copy()
     bumped[4, 4, 0] = min(bumped[4, 4, 0] + 0.1, 1.0)
-    assert kkt_residual(g, Field(g, 1, bumped), gaussian(1.0), adm2) > 0.0
+    assert kkt_residual(g, Field(g, bumped), gaussian(1.0), adm2) > 0.0
 
     bad = u.values.copy()
     bad[0, 0, 0] += 1.0
     with pytest.raises(ValueError, match="boundary"):
-        kkt_residual(g, Field(g, 1, bad), gaussian(1.0), adm2)
+        kkt_residual(g, Field(g, bad), gaussian(1.0), adm2)
 
     outside = u.values.copy()
     outside[4, 4, 0] = 1.5
     with pytest.raises(ValueError, match="box bound"):
-        kkt_residual(g, Field(g, 1, outside), gaussian(1.0), adm2)
+        kkt_residual(g, Field(g, outside), gaussian(1.0), adm2)
 
 
 @pytest.mark.parametrize(
@@ -357,7 +357,7 @@ def test_box_weight_underflowing_on_some_cells_converges():
     # e^{-2000 u^2} is 0.0 in float64 on the cells where u is near 0.9:
     # there S = 1, as K_w's unit diagonal on an empty row
     g = square(17)
-    w = custom(lambda U: -2000.0 * np.sum(U * U, axis=-1),
+    w = Weight(lambda U: -2000.0 * np.sum(U * U, axis=-1),
                lambda U: np.full(U.shape[:-1], 4000.0))
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: 0.9 * (p[:, 0] > 0.5)))
     u, rep = minimize(g, w, adm, opts=SolveOptions(max_iters=200))
@@ -372,7 +372,7 @@ def test_singular_metric_factor_is_a_floating_point_error(n):
     g = build_grid(DomainSpec.masked_box([(-1, 1), (-1, 1)],
                                          lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 <= 1.0),
                    (n, n))
-    w = custom(lambda U: -2000.0 * np.sum(U * U, axis=-1),
+    w = Weight(lambda U: -2000.0 * np.sum(U * U, axis=-1),
                lambda U: np.full(U.shape[:-1], 4000.0))
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: 0.9 * (p[:, 0] > 0)))
     with pytest.raises(FloatingPointError, match="metric factorization failed"):

@@ -15,11 +15,11 @@ from quasimin import (
     Field,
     SourceField,
     TransformTable,
+    Weight,
     build_grid,
     constant,
     el_residual,
     gaussian,
-    custom,
     poisson_dirichlet,
     sample_boundary,
     solve_scalar_exact,
@@ -61,7 +61,7 @@ def test_table_round_trip(u):
 
 
 def test_table_overflow_rejected():
-    grow = custom(f=lambda U: np.sum(U * U, axis=-1), g=lambda U: -2 * np.ones(U.shape[:-1]))
+    grow = Weight(f=lambda U: np.sum(U * U, axis=-1), g=lambda U: -2 * np.ones(U.shape[:-1]))
     with pytest.raises(OverflowError):
         TransformTable(grow, 60.0)
 
@@ -81,7 +81,7 @@ def test_table_whose_density_underflows_is_cut_back():
     with pytest.raises(ValueError, match="transform density must be positive on the range"):
         TransformTable(gaussian(400.0), 14.0).forward(np.array([3.0]))
     with pytest.raises(ValueError, match="transform density must be positive on the range"):
-        TransformTable(custom(f=lambda U: np.full(U.shape[:-1], -2000.0),
+        TransformTable(Weight(f=lambda U: np.full(U.shape[:-1], -2000.0),
                               g=lambda U: np.zeros(U.shape[:-1])), 1.0)
 
 
@@ -348,7 +348,7 @@ def test_two_scalar_formulations_agree():
     for n in (17, 33, 65):
         g = interval(n)
         x = g.axis_coords()[0]
-        u = Field.from_values(g, 0.8 * np.sin(np.pi * x))
+        u = Field(g, 0.8 * np.sin(np.pi * x)[..., None])
         vals = u.values[:, 0]
         h = g.spacing[0]
         lap = np.zeros_like(vals)
@@ -408,7 +408,7 @@ def test_inverse_estimate_where_the_density_underflows():
     # e^{f/2} is 0 at its lower end: the Newton step there sees 0/0
     m = 1.0
     width = 2.0 * m / (oracle._TABLE_NODES - 1)
-    ramp = custom(f=lambda U: -1500.0 * np.maximum(0.0, (-U[..., 0] - m + width) / width),
+    ramp = Weight(f=lambda U: -1500.0 * np.maximum(0.0, (-U[..., 0] - m + width) / width),
                   g=lambda U: np.zeros(U.shape[:-1]))
     table = TransformTable(ramp, m)
     assert table._density(np.array([-m]))[0] == 0.0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimin import (
+    AdmissibleSet,
     BoundaryData,
     DomainSpec,
     Field,
@@ -13,6 +14,7 @@ from quasimin import (
     energy,
     harmonic_residual,
     make_pole,
+    minimize,
     sample_boundary,
     solve_chart,
     solve_harmonic_pair,
@@ -52,6 +54,15 @@ def equator_boundary(grid):
         return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
 
     return sample_boundary(grid, expr)
+
+
+def holomorphic(g):
+    """The map x -> (Re g(z), Im g(z)) with z = x1 + i x2, on points (..., 2)."""
+    def expr(p):
+        w = g(p[..., 0] + 1j * p[..., 1])
+        return np.stack([w.real, w.imag], axis=-1)
+
+    return expr
 
 
 def test_pole_frame_orthonormal_and_shared_axes():
@@ -131,7 +142,7 @@ def test_choose_poles_surjective_circle_fails():
 def test_harmonic_residual_constant_zero():
     g = interval(33)
     vals = np.tile([0.0, 0.6, 0.8], g.dims + (1,))
-    assert harmonic_residual(g, Field(g, 3, vals)) == 0.0
+    assert harmonic_residual(g, Field(g, vals)) == 0.0
 
 
 def test_harmonic_residual_geodesic_refines():
@@ -140,7 +151,7 @@ def test_harmonic_residual_geodesic_refines():
         g = interval(n)
         th = g.axis_coords()[0] * (np.pi / 2)
         V = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
-        res[n] = harmonic_residual(g, Field(g, 3, V))
+        res[n] = harmonic_residual(g, Field(g, V))
     assert 3.0 <= res[51] / res[101] <= 5.0
     assert 3.0 <= res[101] / res[201] <= 5.0
 
@@ -166,19 +177,19 @@ def test_harmonic_residual_is_the_zero_padded_residual(domain, resolution):
         grad_sq += np.sum(cent * cent, axis=-1)
     mags = np.linalg.norm(lap + grad_sq[..., None] * vals, axis=-1)
     want = float(mags[g.interior_mask].max())
-    assert harmonic_residual(g, Field(g, 3, vals)) == want
+    assert harmonic_residual(g, Field(g, vals)) == want
 
 def test_harmonic_residual_detects_bump():
     g = interval(33)
     vals = np.tile([1.0, 0.0, 0.0], g.dims + (1,))
     vals[16] = [np.cos(0.1), np.sin(0.1), 0.0]  # unit-length tangential nudge
-    r = harmonic_residual(g, Field(g, 3, vals))
+    r = harmonic_residual(g, Field(g, vals))
     assert r > 1.0  # O(bump / h^2)
 
     bad = vals.copy()
     bad[10] = [1.1, 0.0, 0.0]
     with pytest.raises(ValueError, match="unit"):
-        harmonic_residual(g, Field(g, 3, bad))
+        harmonic_residual(g, Field(g, bad))
 
 
 def test_constant_boundary_pair_is_constant():
@@ -187,7 +198,7 @@ def test_constant_boundary_pair_is_constant():
     r1, r2 = solve_harmonic_pair(g, bd)
     for r in (r1, r2):
         assert r.dirichlet_energy <= 1e-12
-        assert sup_distance(r.mapped, Field(g, 3, np.tile([1.0, 0.0, 0.0], g.dims + (1,)))) <= 1e-8
+        assert sup_distance(r.mapped, Field(g, np.tile([1.0, 0.0, 0.0], g.dims + (1,)))) <= 1e-8
 
 
 def test_geodesic_pair_energies_and_distance():
@@ -237,8 +248,8 @@ def test_chart_energy_matches_dirichlet_energy_under_refinement():
         bd = geodesic_boundary(g)
         pole = make_pole(np.array([0.0, 0.0, 1.0]))
         res = solve_chart(g, bd, pole)
-        assert res.chart_energy == energy(g, res.chart, sphere_chart(2.0)).value
-        diffs.append(abs(res.chart_energy - res.dirichlet_energy))
+        assert res.report.final_energy == energy(g, res.chart, sphere_chart(2.0)).value
+        diffs.append(abs(res.report.final_energy - res.dirichlet_energy))
     assert diffs[1] < diffs[0]
 
 
@@ -268,8 +279,8 @@ def test_antipodal_symmetry_with_explicit_poles():
     r1, r2 = solve_chart(g, bd, pole), solve_chart(g, bd, anti)
     neg = BoundaryData(g, -bd.values)
     n1, n2 = solve_chart(g, neg, anti), solve_chart(g, neg, anti.antipode())
-    assert sup_distance(n1.mapped, Field(g, 3, -r1.mapped.values)) <= 1e-10
-    assert sup_distance(n2.mapped, Field(g, 3, -r2.mapped.values)) <= 1e-10
+    assert sup_distance(n1.mapped, Field(g, -r1.mapped.values)) <= 1e-10
+    assert sup_distance(n2.mapped, Field(g, -r2.mapped.values)) <= 1e-10
 
 
 def test_dimension_hypothesis_warning():
@@ -312,3 +323,18 @@ def test_geodesic_pair_circle_target():
     e_lo, e_hi = sorted([r1.dirichlet_energy, r2.dirichlet_energy])
     assert e_lo == pytest.approx(np.pi**2 / 4, rel=0.02)
     assert e_hi == pytest.approx(9 * np.pi**2 / 4, rel=0.02)
+
+
+def test_holomorphic_data_converges_at_second_order_on_the_box():
+    # sphere_chart(2) is the round metric in stereographic coordinates, and a
+    # holomorphic map into the Riemann sphere is harmonic, so (Re g, Im g)
+    # solves the system; max |U| = 0.825 keeps the data in the hemisphere
+    exact = holomorphic(lambda z: 0.25 * z**2 + 0.2 * z + 0.1j)
+    errs = []
+    for n in (33, 65, 129):
+        g = build_grid(DomainSpec.box([(-1, 1), (-1, 1)]), (n, n))
+        adm = AdmissibleSet.from_boundary(sample_boundary(g, exact))
+        u, rep = minimize(g, sphere_chart(2.0), adm, opts=SolveOptions(tol_pg=1e-13))
+        assert rep.converged and rep.active_count == 0
+        errs.append(np.abs(u.values - exact(g.points())).max())
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimin import (
+    Weight,
     constant,
-    custom,
     gaussian,
     sphere_chart,
     validate_weight,
@@ -111,7 +111,7 @@ def test_validate_weight_reports():
 
 
 def test_custom_weight_uses_supplied_g():
-    w = custom(
+    w = Weight(
         f=lambda U: -np.sum(U**4, axis=-1) / 2.0,
         g=lambda U: 2.0 * np.sum(U * U, axis=-1),
         label="quartic",
