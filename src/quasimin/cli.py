@@ -95,7 +95,6 @@ def _run_solve(spec, seed):
         "line_search_failures": report.line_search_failures,
         "energy_evals": report.energy_evals,
         "backtracks": report.backtracks,
-        "preconditioned_steps": report.preconditioned_steps,
         "factorizations": report.factorizations,
         "el_residual": float(np.abs(res.values).max()),
         "box_bound": " ".join(fieldio._fmt(c) for c in adm.box),

@@ -187,7 +187,7 @@ def weighted_laplacian(grid: Grid, weights):
     offset q - p.  At corner p, D_i is (2 p_i - 1) / h_i along axis i and
     1/2 along the others.  Exact zeros are dropped.
     """
-    # imported here: only the metric of masked and half-ball grids needs it
+    # imported here: only the LU block of the metric needs it
     from scipy import sparse
 
     n = grid.ndim
@@ -302,11 +302,12 @@ def el_residual(grid: Grid, U: Field, w: Weight,
         -e^{-f} sum_i d_i(e^f a_i d_i U) + (1/2) f'(U) sum_i a_i |d_i U|^2 = 0.
 
     Flux differencing uses e^{f} a_i on the faces x +- h_i e_i / 2 between
-    axis neighbours (the weight of the averaged nodal values); |d_i U|^2
-    uses central differences and a_i at the node.  A is read there, on
-    the half-step lattice of sample_tensor.  The additive shift of the
-    weight cancels between e^{-f} and e^{f} and is omitted.  With A None
-    or the identity nothing is multiplied by a coefficient.
+    axis neighbours (the weight of the averaged nodal values), as
+    e^{f_face - f_node}, finite where both underflow; |d_i U|^2 uses
+    central differences and a_i at the node.  A is read there, on the
+    half-step lattice of sample_tensor.  The additive shift of the weight
+    cancels in f_face - f_node and is omitted.  With A None or the
+    identity nothing is multiplied by a coefficient.
     """
     vals = U.values
     h = grid.spacing
@@ -319,17 +320,18 @@ def el_residual(grid: Grid, U: Field, w: Weight,
         lo, hi = successors(ax)
         # [lo][hi] holds the nodes with both neighbours along ax
         grad_c[ax][lo][hi] = (vals[hi][hi] - vals[lo][lo]) / (2 * h[ax])
-        # the flux e^f a_ax d_ax U through each face between axis neighbours
-        flux = np.exp(w.f_base(0.5 * (vals[lo] + vals[hi])))
+        # a_ax d_ax U on each face, weighted e^{f_face - f_node} from either node
+        f_face = w.f_base(0.5 * (vals[lo] + vals[hi]))
+        jump = vals[hi] - vals[lo]
         if A is not None:
-            flux = flux * A[half_index(grid.ndim, (ax,))][..., ax]
-        flux = flux[..., None] * (vals[hi] - vals[lo])
-        div[lo][hi] += (flux[hi] - flux[lo]) / h[ax] ** 2
+            jump = A[half_index(grid.ndim, (ax,))][..., ax, None] * jump
+        up, down = (np.exp(f_face[s] - f_node[lo][hi])[..., None] * jump[s] for s in (hi, lo))
+        div[lo][hi] += (up - down) / h[ax] ** 2
     sq = (g * g for g in grad_c)
     if A is not None:
         sq = (A[half_index(grid.ndim)][..., ax, None] * s for ax, s in enumerate(sq))
     grad_sq = _term_sum(sq)
-    res = -np.exp(-f_node)[..., None] * div + 0.5 * w.fprime(vals) * grad_sq[..., None]
+    res = -div + 0.5 * w.fprime(vals) * grad_sq[..., None]
     res[~grid.interior_mask] = 0.0
     return Field(grid, res)
 

@@ -8,7 +8,8 @@ axis-neighbor outside the domain.  Curved boundaries are therefore staircase
 approximations (first-order accurate near the boundary).
 
 Grids, fields, and boundary data are immutable after construction; their
-arrays are marked read-only so they can be shared freely between threads.
+arrays, copies for fields and boundary data, are marked read-only so they
+can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float, order="C")
         if self.values.shape[:-1] != self.grid.dims:
             raise ValueError(f"field shape {self.values.shape} != "
                              f"{self.grid.dims} + (ncomp,)")
@@ -267,7 +268,7 @@ class BoundaryData:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float, order="C")
         if self.values.ndim == 1:
             self.values = self.values[:, None]
         if self.values.shape[0] != self.grid.num_boundary:
@@ -354,4 +355,4 @@ def restrict(field: Field, window) -> Field:
     )
     sub = Grid(dims, grid.spacing, origin, cls)
     vals = field.values[slices + (slice(None),)]
-    return Field(sub, vals.copy())
+    return Field(sub, vals)

@@ -82,6 +82,8 @@ def solve_exhaustion(phi: Callable, w: Weight, radii: Sequence[float],
     (componentwise sup of |phi| over all sampled nodes unless overridden)
     is used for every radius, which makes the uniform bound exact.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError("spacing h must be finite and positive")
     radii = [float(r) for r in radii]
     if len(radii) < 1 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")

@@ -13,14 +13,13 @@ direction points out of the box.
 
 The harmonic-extension start is one oracle.poisson_dirichlet call: DST-I
 on box grids, whose interior is every non-hull lattice node, and
-DST-I-preconditioned conjugate gradients elsewhere.  While no interior
-component sits on its box bound the descent steps along d = K_w^{-1} g /
-vol, with the BB1 length taken in the same metric, <s, vol K_w s> /
-<s, y>: a spectral projected gradient in H^1 (Birgin, Martinez and
-Raydan 2000), whose iteration count stays flat under refinement.  The
-first of these steps has length 1/2, the exact minimizer along d of the
-frozen-weight quadratic model (vol K_w d = g), so it needs no (s, y)
-pair and no bootstrap.  K_w =
+DST-I-preconditioned conjugate gradients elsewhere.  Every step is
+preconditioned: the descent steps along d = K_w^{-1} g / vol, with the
+BB1 length taken in the same metric, <s, vol K_w s> / <s, y>: a spectral
+projected gradient in H^1 (Birgin, Martinez and Raydan 2000), whose
+iteration count stays flat under refinement.  The first step has length
+1/2, the exact minimizer along d of the frozen-weight quadratic model
+(vol K_w d = g), so it needs no (s, y) pair and no bootstrap.  K_w =
 sum_i D_i^T diag(cell_in e^{f_base(ubar)} a_i) D_i, with a_i the
 coefficient tensor's entry along axis i, is the frozen-weight (Kacanov)
 linearization of -div(e^{f(U)} A grad U) for every component at once,
@@ -32,10 +31,13 @@ cell-averaged Laplacian and S^2 the node mean of the cell weights
 oracle.box_laplacian_inverse (the Sobolev gradient of Neuberger, with
 the weight).  On masked and half-ball grids K_w is assembled sparse and
 factored by LU.  The BB form <s, K_w s> sums the weighted squares of
-the D_i of energy.to_cells.  While a bound is active the descent takes
-plain projected BB steps along g; each step kind keeps its own BB length.  A
-coefficient tensor is sampled once per solve (energy.sample_tensor), and
-the energy and the metric read it at the cell midpoints.
+the D_i of energy.to_cells.  An interior node with a component that the
+projected gradient zeroes is held, a Dirichlet node of the metric: while
+some node is held, K_w with the held rows and columns cut down to their
+diagonal is factored by LU on every grid, rebuilt when the held set
+changes (projected Newton, Bertsekas 1982).  A coefficient tensor is
+sampled once per solve (energy.sample_tensor), and the energy and the
+metric read it at the cell midpoints.
 
 No claim of global minimality is made; the energy is nonconvex and
 different initializations may reach different stationary points (which is
@@ -132,7 +134,6 @@ class SolveReport:
     stall_reason: str = ""
     energy_evals: int = 0
     backtracks: int = 0
-    preconditioned_steps: int = 0
     factorizations: int = 0
 
     @property
@@ -160,17 +161,15 @@ def project_admissible(U: Field, adm: AdmissibleSet) -> Field:
 
 def _projected_gradient(values: np.ndarray, grad: np.ndarray,
                         grid: Grid, adm: AdmissibleSet) -> tuple[np.ndarray, np.ndarray]:
-    """The projected gradient, and the mask of the interior components on their bound."""
+    """The projected gradient, and the held nodes: interior nodes with a component it zeroes."""
     pg = grad.copy()
-    at_hi = values >= adm.box
-    at_lo = values <= -adm.box
-    pg[at_hi & (pg < 0)] = 0.0
-    pg[at_lo & (pg > 0)] = 0.0
+    out = ((values >= adm.box) & (pg < 0)) | ((values <= -adm.box) & (pg > 0))
+    pg[out] = 0.0
     off = ~grid.interior_mask
     pg[off] = 0.0
-    at = at_hi | at_lo
-    at[off] = False
-    return pg, at
+    held = out.any(axis=-1)
+    held[off] = False
+    return pg, held
 
 
 def _scaled_block(grid, lap_inv, weights):
@@ -183,25 +182,31 @@ def _scaled_block(grid, lap_inv, weights):
     return S, [1.0] * len(weights), lambda r: lap_inv(r / S) / S
 
 
-def _factored_block(grid, weights):
-    """(1, c_i, K_w^{-1}) with K_w factored by sparse LU, in float32: only a metric."""
-    # imported here, as in weighted_laplacian: box grids never factor K_w
+def _factored_block(grid, weights, held):
+    """(1, c_i, K^{-1}), K = K_w with the held rows and columns cut down to their
+    diagonal, factored by sparse LU in float32: only a metric."""
+    # imported here, as in weighted_laplacian: only the LU block needs it
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    K = weighted_laplacian(grid, weights)
+    idx = grid.interior_indices
+    K = weighted_laplacian(grid, weights).astype(np.float32)
+    h = held.reshape(-1)[idx]
+    if h.any():
+        free = sparse.diags((~h).astype(np.float32))
+        K = (free @ K @ free + sparse.diags(h * K.diagonal())).tocsc()
     # an interior node on no weighted cell has an empty row and a zero
-    # gradient; a unit diagonal keeps K_w regular, d = 0 there
-    K = K + sparse.diags((K.diagonal() == 0.0).astype(float), format="csc")
+    # gradient; a unit diagonal, in float32 to cover rows that underflow
+    # only there, keeps K regular, d = 0 there
+    K = K + sparse.diags((K.diagonal() == 0.0).astype(np.float32), format="csc")
     try:
-        lu = splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, relax=4, panel_size=4,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         # cell weights that vanish, or underflow float32, on whole regions
         # leave K_w singular beyond the empty rows the unit diagonal covers
         raise FloatingPointError(f"metric factorization failed: {exc}") from None
-    idx = grid.interior_indices
 
     def inverse(r):
         out = np.zeros(r.shape)
@@ -218,9 +223,10 @@ class _Metric:
     Its cell weights c a_i, with c = cell_in e^{f_base(ubar)} and a_i the
     tensor's coefficients at the cell midpoints, are the same for every
     component.  The block (T, c, inverse) has the BB form sum_i sum_cells
-    c |D_i (T s)|^2, the exact form of the operator it inverts: the scaled
-    DST-I block on box grids, the LU block elsewhere.  The inverse holds
-    no reference to the metric, so it makes no cycle.
+    c |D_i (T s)|^2 of K_w, the exact form of the operator it inverts while
+    no node is held: the scaled DST-I block on box grids, the LU block
+    elsewhere and on every grid while some node is held.  The inverse
+    holds no reference to the metric, so it makes no cycle.
     """
 
     def __init__(self, grid: Grid, A: np.ndarray | None):
@@ -228,29 +234,29 @@ class _Metric:
         self.A = None if A is None else A[half_index(grid.ndim, range(grid.ndim))]
         self.cell_in = grid.cell_mask
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
-        self.f_ref = None
+        self.f_ref = self.held = None
         self.T, self.cs, self.inverse = 1.0, [], None
         self.factorizations = 0
 
-    def refresh(self, fb: np.ndarray) -> None:
-        """Rebuild when f_base at the cell means has moved too far since the last build."""
-        if self.f_ref is not None and not (
+    def refresh(self, fb: np.ndarray, held: np.ndarray) -> None:
+        """Rebuild when the held nodes or f_base at the cells have moved since the last build."""
+        if self.f_ref is not None and np.array_equal(held, self.held) and not (
                 np.abs(fb - self.f_ref)[self.cell_in] > _REFACTOR_DF).any():
             return
-        self.f_ref = fb
+        self.f_ref, self.held = fb, held
         c = self.cell_in * np.exp(fb)
         if self.A is None:
             weights = [c] * self.grid.ndim
         else:
             weights = [c * self.A[..., i] for i in range(self.grid.ndim)]
-        if self.lap_inv is None:
-            self.T, self.cs, self.inverse = _factored_block(self.grid, weights)
+        if self.lap_inv is None or held.any():
+            self.T, self.cs, self.inverse = _factored_block(self.grid, weights, held)
         else:
             self.T, self.cs, self.inverse = _scaled_block(self.grid, self.lap_inv, weights)
         self.factorizations += 1
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """K_w^{-1} r on the interior nodes, zero elsewhere."""
+        """K^{-1} r on the interior nodes, zero elsewhere: K_w with no node held."""
         return self.inverse(r)
 
     def form(self, s: np.ndarray) -> float:
@@ -288,7 +294,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     if not np.isfinite(E):
         raise FloatingPointError("initial energy is not finite")
     g = grad()
-    pg, at = _projected_gradient(U, g, grid, adm)
+    pg, held = _projected_gradient(U, g, grid, adm)
     pgn = float(np.abs(pg).max())
     tol = opts.tol_pg if opts.tol_pg is not None else (opts.tol_factor or _TOL_FACTOR) * (1.0 + E)
 
@@ -296,37 +302,28 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     pgs = [pgn]
     ls_failures = 0
     backtracks = 0
-    pre_steps = 0
     stall = ""
     converged = pgn <= tol
     iters = 0
-    # step lengths per step kind, [plain, preconditioned], and BB takes
-    # over after the first (s, y) pair.  A plain step bootstraps with a
-    # small relative step.  A preconditioned one starts at 1/2, the exact
-    # minimizer along d of the frozen-weight model E - tau <g, d> +
-    # tau^2 vol <d, K_w d>, since vol K_w d = g
-    taus = [1e-3 * (1.0 + float(np.abs(U).max())) / (1.0 + pgn), 0.5]
-    prev_taus = [1.0, 1.0]
+    # the first step length is 1/2, the exact minimizer along d of the
+    # frozen-weight model E - tau <g, d> + tau^2 vol <d, K_w d>, since
+    # vol K_w d = g; BB takes over after the first (s, y) pair
+    bb, prev_tau = 0.5, 1.0
     best_pg = pgn
     best_E = E
     last_progress = 0
 
     while not converged and iters < opts.max_iters:
-        pre = not at.any()
-        if pre:
-            metric.refresh(fb)
-            d = metric.solve(g) / grid.cell_volume
-        else:
-            d = g
-        tau = float(np.clip(taus[pre], _STEP_MIN, _STEP_MAX))
+        metric.refresh(fb, held)
+        d = metric.solve(g) / grid.cell_volume
+        tau = float(np.clip(bb, _STEP_MIN, _STEP_MAX))
         for _ in range(_BACKTRACK_LIMIT):
             U_new = _project_values(U - tau * d, adm)
             step = U_new - U
             dd = float(np.sum(g * step))
             E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
             evals += 1
-            # a clipped preconditioned step may point uphill (dd > 0);
-            # it must still not raise the energy
+            # a clipped step may point uphill (dd > 0); it must still not raise E
             if np.isfinite(E_new) and E_new <= E + _ARMIJO_C * min(dd, 0.0):
                 break
             tau *= _BACKTRACK
@@ -345,23 +342,16 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
 
         g_new = grad()
         s = U_new - U
-        y = g_new - g
-        sy = float(np.sum(s * y))
-        # BB1 length of each kind in its own metric: <s, s> for plain
-        # steps, <s, vol K_w s> for preconditioned ones
-        norms = [float(np.sum(s * s)), grid.cell_volume * metric.form(s)]
-        for k, ss in enumerate(norms):
-            if sy > 1e-300 and ss > 0:
-                taus[k] = ss / sy
-            elif k == pre:
-                taus[k] = 2.0 * max(tau, prev_taus[k])
-        prev_taus[pre] = tau
+        sy = float(np.sum(s * (g_new - g)))
+        # the BB1 length in the metric, <s, vol K_w s> / <s, y>
+        ss = grid.cell_volume * metric.form(s)
+        bb = ss / sy if sy > 1e-300 and ss > 0 else 2.0 * max(tau, prev_tau)
+        prev_tau = tau
 
         U, E, g, fb = U_new, E_new, g_new, fb_new
-        pg, at = _projected_gradient(U, g, grid, adm)
+        pg, held = _projected_gradient(U, g, grid, adm)
         pgn = float(np.abs(pg).max())
         iters += 1
-        pre_steps += pre
         energies.append(E)
         pgs.append(pgn)
         converged = pgn <= tol
@@ -380,7 +370,7 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         iterations=iters,
         energy_history=np.asarray(energies),
         pg_history=np.asarray(pgs),
-        active_count=int(at.any(axis=-1).sum()),
+        active_count=int(((np.abs(U) >= adm.box).any(axis=-1) & grid.interior_mask).sum()),
         wall_time=time.perf_counter() - t0,
         converged=bool(converged),
         tol_pg=float(tol),
@@ -388,7 +378,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         stall_reason=stall,
         energy_evals=evals,
         backtracks=backtracks,
-        preconditioned_steps=pre_steps,
         factorizations=metric.factorizations,
     )
     return Field(grid, U), report

@@ -104,8 +104,8 @@ class TransformTable:
     """
 
     def __init__(self, weight: Weight, range_m: float):
-        if range_m <= 0:
-            raise ValueError("table range must be positive")
+        if not (np.isfinite(range_m) and range_m > 0):
+            raise ValueError("table range must be finite and positive")
         self.weight = weight
         self.range_m = float(range_m)
         mid = _TABLE_NODES // 2

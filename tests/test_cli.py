@@ -130,9 +130,7 @@ def test_solve_summary_counts_the_work(tmp_path):
     summary = read_summary(out / "summary.txt")
     iters = int(summary["iterations"])
     assert int(summary["energy_evals"]) == 1 + iters + int(summary["backtracks"])
-    # a box grid with no active bound takes only preconditioned steps,
-    # building its DST-I metric at least once
-    assert int(summary["preconditioned_steps"]) == iters
+    # a box grid builds its DST-I metric at least once
     assert int(summary["factorizations"]) >= 1
     # a masked grid factors K_w at least once
     disk = SOLVE_SPEC.replace("kind = box", "kind = masked_box\nmask = x1^2 + x2^2 <= 1").replace(
@@ -140,7 +138,7 @@ def test_solve_summary_counts_the_work(tmp_path):
     code, out = run(tmp_path, "d.cfg", disk, "solve", sub="disk")
     assert code == 0
     summary = read_summary(out / "summary.txt")
-    assert int(summary["preconditioned_steps"]) == int(summary["iterations"]) > 0
+    assert int(summary["iterations"]) > 0
     assert int(summary["factorizations"]) >= 1
 
 
@@ -416,6 +414,19 @@ def test_importing_the_cli_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_weights_below_double_range_leave_a_finite_residual(tmp_path):
+    # e^{-2000 u^2} underflows on every node of this converged solve: the
+    # residual takes each face weight relative to its node, where
+    # e^{-f_node} e^{f_face} was inf * 0
+    text = SOLVE_SPEC.replace("alpha = 1.0", "alpha = 2000").replace(
+        "values = x1 * x2", "values = 0.8 + 0.1 * x1 * x2")
+    code, out = run(tmp_path, "u.cfg", text, "solve")
+    assert code == 0
+    summary = read_summary(out / "summary.txt")
+    assert summary["converged"] == "true"
+    assert np.isfinite(float(summary["el_residual"]))
 
 
 def _raise_convergence(*args, **kwargs):

@@ -11,7 +11,7 @@ from quasimin import (
     restrict,
     sample_boundary,
 )
-from quasimin.grids import _classify
+from quasimin.grids import BoundaryData, _classify
 
 
 def test_box_5x5_counts():
@@ -19,6 +19,16 @@ def test_box_5x5_counts():
     assert g.num_interior == 9
     assert g.num_boundary == 16
     assert g.num_nodes == 25
+
+
+def test_field_and_boundary_data_leave_the_callers_array_writable():
+    g = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (5, 5))
+    vals = np.zeros(g.dims + (1,))
+    bvals = np.zeros(g.num_boundary)
+    f, bd = Field(g, vals), BoundaryData(g, bvals)
+    vals[1, 1, 0] = bvals[0] = 1.0
+    assert f.values[1, 1, 0] == 0.0 and bd.values[0, 0] == 0.0
+    assert not f.values.flags.writeable and not bd.values.flags.writeable
 
 
 def test_interval_3_nodes():
@@ -162,7 +172,7 @@ def test_field_reads_its_component_count_and_refuses_bad_values():
     # exterior nodes may hold anything; in-domain nodes must be finite
     vals = np.zeros(g.dims + (2,))
     vals[~g.in_mask] = np.nan
-    assert (~g.in_mask).any() and Field(g, vals.copy()).ncomp == 2
+    assert (~g.in_mask).any() and Field(g, vals).ncomp == 2
     for bad in (np.zeros(g.dims), np.zeros((9, 4, 1)), np.zeros((5, 9, 1)),
                 np.zeros(g.dims + (1, 1))):
         with pytest.raises(ValueError, match="field shape"):

@@ -83,6 +83,13 @@ def test_window_fields_share_coordinates():
     assert np.allclose(g0.spacing, g1.spacing)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_spacing_that_is_not_finite_and_positive_is_refused(h):
+    with pytest.raises(ValueError, match="spacing h must be finite and positive"):
+        solve_exhaustion(gauss_bump, gaussian(1.0), [1, 2], h, [(0, 0.5), (0, 0.5)])
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="increasing"):
         solve_exhaustion(gauss_bump, gaussian(1.0), [2, 2], 0.5, [(0, 1), (0, 1)])

@@ -1,4 +1,8 @@
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +277,7 @@ def test_averaged_inverse_is_the_energy_hessian(grid):
     form = float(np.sum(v[inner] * r[inner]))
     metric = _Metric(grid, None)
     # f_base of a constant weight is 0 on every cell
-    metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)))
+    metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)), np.zeros(grid.dims, bool))
     assert abs(metric.form(v) - form) <= 1e-12 * abs(form)
 
 
@@ -285,7 +289,7 @@ def test_iteration_count_is_mesh_independent_on_the_box():
         bd = sample_boundary(g, lambda p: p[:, 0] * p[:, 1])
         adm = AdmissibleSet.from_boundary(bd)
         u, rep = minimize(g, w, adm)
-        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert rep.converged
         assert kkt_residual(g, u, w, adm) <= rep.tol_pg
         iters.append(rep.iterations)
         gaps.append(float(np.abs(u.values - solve_scalar_exact(g, w, bd).values).max()))
@@ -300,11 +304,11 @@ def test_first_preconditioned_step_is_the_frozen_weight_minimizer(n, most):
     g = square(n)
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
     one, rep = minimize(g, w, adm, opts=SolveOptions(max_iters=1))
-    assert rep.preconditioned_steps == 1 and rep.backtracks == 0
+    assert rep.iterations == 1 and rep.backtracks == 0
     U = _project_values(poisson_dirichlet(g, None, adm.boundary).values, adm)
     _, _, grad, fb = energy_raw(g, U, w)
     metric = _Metric(g, None)
-    metric.refresh(fb)
+    metric.refresh(fb, np.zeros(g.dims, bool))
     d = metric.solve(grad()) / g.cell_volume
     assert np.array_equal(one.values, _project_values(U - 0.5 * d, adm))
     u, rep = minimize(g, w, adm)
@@ -321,7 +325,7 @@ def test_iteration_count_is_mesh_independent_on_the_weighted_box():
         adm = AdmissibleSet.from_boundary(
             sample_boundary(g, lambda p: 16.0 * (p[:, 0] - 0.5) * (p[:, 1] - 0.5)))
         u, rep = minimize(g, w, adm)
-        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert rep.converged
         assert rep.iterations <= 20, (n, rep.iterations)
         assert kkt_residual(g, u, w, adm) <= rep.tol_pg
 
@@ -336,7 +340,7 @@ def test_iteration_count_is_mesh_independent_on_tensor_boxes(axis):
         adm = AdmissibleSet.from_boundary(sample_boundary(
             g, lambda p: np.stack([p[:, 0] * p[:, -1], 0.5 * p[:, 0]], axis=1)))
         u, rep = minimize(g, gaussian(0.5), adm, A=A)
-        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert rep.converged
         assert kkt_residual(g, u, gaussian(0.5), adm, A=A) <= rep.tol_pg
         iters.append(rep.iterations)
     assert max(iters) <= 20 and max(iters) <= 1.3 * min(iters), iters
@@ -365,18 +369,33 @@ def test_box_weight_underflowing_on_some_cells_converges():
     assert np.all(np.diff(rep.energy_history) <= 0.0)
 
 
-@pytest.mark.parametrize("n", [17, 33])
-def test_singular_metric_factor_is_a_floating_point_error(n):
-    # on a disk the same weight and data leave whole regions of cells with
-    # weights below float32 range: K_w is singular beyond its empty rows
+def _underflowing_disk(n):
     g = build_grid(DomainSpec.masked_box([(-1, 1), (-1, 1)],
                                          lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 <= 1.0),
                    (n, n))
     w = Weight(lambda U: -2000.0 * np.sum(U * U, axis=-1),
                lambda U: np.full(U.shape[:-1], 4000.0))
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: 0.9 * (p[:, 0] > 0)))
+    return g, w, adm
+
+
+@pytest.mark.parametrize("n", [33])
+def test_singular_metric_factor_is_a_floating_point_error(n):
+    # on a disk the same weight and data leave whole regions of cells with
+    # weights below float32 range: K_w is singular beyond its empty rows
+    g, w, adm = _underflowing_disk(n)
     with pytest.raises(FloatingPointError, match="metric factorization failed"):
         minimize(g, w, adm)
+
+
+def test_underflowing_disk_converges_once_its_bound_nodes_are_held():
+    # at n = 17 the nodes on their bound cover the cells whose weights
+    # underflow: held, they leave the factor regular
+    g, w, adm = _underflowing_disk(17)
+    u, rep = minimize(g, w, adm)
+    assert rep.converged and rep.active_count > 0
+    assert np.all(np.diff(rep.energy_history) <= 0.0)
+    assert np.array_equal(_project_values(u.values, adm), u.values)
 
 
 @pytest.mark.parametrize("grid", list(_boxes()), ids=["1d", "2d", "3d"])
@@ -384,7 +403,7 @@ def test_constant_weight_box_metric_is_the_averaged_inverse(grid):
     # with a constant weight S is exactly 1 and the metric is the DST-I K^{-1}
     rng = np.random.default_rng(8)
     metric = _Metric(grid, None)
-    metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)))
+    metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)), np.zeros(grid.dims, bool))
     r = rng.standard_normal(grid.dims + (2,))
     assert np.array_equal(metric.solve(r), box_laplacian_inverse(grid, averaged=True)(r))
 
@@ -440,7 +459,7 @@ def test_iteration_count_is_mesh_independent_on_the_disk():
         g = _disk(n)
         adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: p[:, 0] * p[:, 1]))
         u, rep = minimize(g, w, adm)
-        assert rep.converged and rep.preconditioned_steps == rep.iterations
+        assert rep.converged
         assert kkt_residual(g, u, w, adm) <= rep.tol_pg
         iters.append(rep.iterations)
     assert max(iters) <= 1.3 * min(iters), iters
@@ -475,7 +494,7 @@ def test_interior_node_on_no_domain_cell_keeps_the_factor_regular():
     g = build_grid(dom, (9, 9))
     adm = AdmissibleSet.from_boundary(sample_boundary(g, lambda p: np.sin(p[:, 0]) * p[:, 1]))
     u, rep = minimize(g, gaussian(0.1), adm)
-    assert rep.converged and rep.preconditioned_steps == rep.iterations > 0
+    assert rep.converged and rep.iterations > 0
     # no cell couples the center to the energy: it keeps its start value
     assert u.values[2, 4, 0] == 0.0
 
@@ -511,19 +530,78 @@ def test_weighted_laplacian_form_is_the_weighted_cell_sum(domain, dims):
     assert abs(form - cell_sum) <= 1e-12 * cell_sum
 
 
-def test_active_bound_box_solve_switches_step_kinds():
-    # preconditioned steps while no interior component sits on its bound,
-    # plain projected BB steps while one does
-    g = square(17)
+def _cos_sin_box(n):
+    # gaussian(10) with this data puts most interior nodes on their bound
+    g = square(n)
     adm = AdmissibleSet.from_boundary(sample_boundary(
         g, lambda p: np.stack([np.cos(2 * np.pi * p[:, 0]), np.sin(2 * np.pi * p[:, 1])], axis=1)))
+    return g, adm
+
+
+def test_active_bound_box_solve_converges_in_the_metric():
+    # the held nodes are Dirichlet nodes of the metric: every step stays
+    # preconditioned, where plain projected steps needed 1,210
+    g, adm = _cos_sin_box(17)
     u, rep = minimize(g, gaussian(10.0), adm, opts=SolveOptions(max_iters=200))
-    assert 0 < rep.preconditioned_steps < rep.iterations
-    assert rep.active_count > 0
+    assert rep.converged and rep.active_count > 0
     assert np.all(np.diff(rep.energy_history) <= 0.0)
     flat = u.flat()
     assert np.array_equal(flat[g.boundary_indices], adm.boundary.values)
     assert np.all(np.abs(flat) <= adm.box)
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_steep_disk_data_with_bound_nodes_converges_in_few_steps(n):
+    # two interior nodes end on their bound; plain steps took 305-1119
+    g = _disk(n)
+    w = gaussian(1.0)
+    adm = AdmissibleSet.from_boundary(
+        sample_boundary(g, lambda p: 4.0 * (p[:, 0] - 0.5) * (p[:, 1] - 0.5)))
+    u, rep = minimize(g, w, adm)
+    assert rep.converged and rep.active_count > 0
+    assert rep.iterations <= 30, rep.iterations
+    assert kkt_residual(g, u, w, adm) <= rep.tol_pg
+
+
+def test_steep_half_ball_data_with_bound_nodes_converges():
+    # plain steps took 10,376 here
+    g = build_grid(DomainSpec.half_ball(1.0, 3), (9, 9, 5))
+    adm = AdmissibleSet.from_boundary(sample_boundary(
+        g, lambda p: np.stack([np.cos(3 * p[:, 0]), np.sin(3 * p[:, 1])], axis=1)))
+    u, rep = minimize(g, gaussian(20.0), adm, opts=SolveOptions(max_iters=1000))
+    assert rep.converged and rep.active_count > 0
+    assert np.all(np.diff(rep.energy_history) <= 0.0)
+    assert np.array_equal(_project_values(u.values, adm), u.values)
+
+
+_BOUND_BOX_DIGEST = """
+import hashlib
+import numpy as np
+from quasimin import AdmissibleSet, DomainSpec, build_grid, gaussian, minimize, sample_boundary
+grid = build_grid(DomainSpec.box([(0, 1), (0, 1)]), (33, 33))
+bdry = sample_boundary(grid, lambda p: np.stack(
+    [np.cos(2 * np.pi * p[:, 0]), np.sin(2 * np.pi * p[:, 1])], axis=1))
+u, rep = minimize(grid, gaussian(10.0), AdmissibleSet.from_boundary(bdry))
+assert rep.converged and rep.active_count > 0
+print(hashlib.sha256(u.values.tobytes()).hexdigest())
+print(hashlib.sha256(rep.energy_history.tobytes()).hexdigest())
+"""
+
+
+def test_bound_active_solve_bytes_do_not_depend_on_blas_threads():
+    # BLAS must be capped before numpy loads, so each count runs in its own
+    # process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _BOUND_BOX_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_minimize_leaves_no_reference_cycles():

@@ -368,6 +368,13 @@ def test_monotone_data_monotone_solution():
     assert np.all(np.diff(u.values[:, 0]) > 0)
 
 
+@pytest.mark.parametrize("range_m", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_table_refuses_a_range_that_is_not_finite_and_positive(range_m):
+    with pytest.raises(ValueError, match="table range must be finite and positive"):
+        TransformTable(gaussian(1.0), range_m)
+
+
 def test_table_refuses_arguments_outside_its_range():
     table = TransformTable(gaussian(1.0), 1.0)
     with pytest.raises(ValueError, match="argument leaves the transform table range"):
