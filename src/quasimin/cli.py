@@ -83,7 +83,7 @@ def _run_solve(spec, seed):
     A = _from_spec("tensor evaluation", sample_tensor, grid, spec.tensor)
     U, report = minimize(grid, spec.weight, adm, A=A, opts=spec.solver)
     ev = energy(grid, U, spec.weight, A=A, q_exponents=_Q_EXPONENTS)
-    res = el_residual(grid, U, spec.weight, A=A)
+    res = el_residual(grid, U, spec.weight, A=A, box=adm.box)
     items = {
         "mode": "solve",
         "converged": report.converged,

@@ -21,7 +21,8 @@ el_residual is the strong-form diagnostic for the system
 discretized with second-order central stencils and midpoint flux weights.
 It agrees with grad_raw / (2 e^f vol) up to O(h^2); optimality of the
 constrained minimization problem is judged by the projected gradient, not
-by this residual.
+by this residual.  Given the box bound it reads 0 at the nodes on the
+bound, where the equation need not hold.
 """
 
 from __future__ import annotations
@@ -294,7 +295,8 @@ def energy(grid: Grid, U: Field, w: Weight,
 
 
 def el_residual(grid: Grid, U: Field, w: Weight,
-                A: CoefficientTensor | np.ndarray | None = None) -> Field:
+                A: CoefficientTensor | np.ndarray | None = None,
+                box: np.ndarray | None = None) -> Field:
     """Strong-form residual at interior nodes using central stencils.
 
     For coefficients a_i the system reads
@@ -308,11 +310,19 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     half-step lattice of sample_tensor.  The additive shift of the weight
     cancels in f_face - f_node and is omitted.  With A None or the
     identity nothing is multiplied by a coefficient.
+
+    Given the box bound C, a node with a component on its bound
+    (|U_a| >= C_a) reads 0: the equation need not hold there.  Its face
+    weights are not evaluated, since relative to a node weight far below
+    its neighbours' they may overflow.
     """
     vals = U.values
     h = grid.spacing
     A = sample_tensor(grid, A)
 
+    keep = grid.interior_mask
+    if box is not None:
+        keep = keep & ~(np.abs(vals) >= box).any(axis=-1)
     f_node = w.f_base(vals)
     grad_c = [np.zeros_like(vals) for _ in range(grid.ndim)]
     div = np.zeros_like(vals)
@@ -325,14 +335,16 @@ def el_residual(grid: Grid, U: Field, w: Weight,
         jump = vals[hi] - vals[lo]
         if A is not None:
             jump = A[half_index(grid.ndim, (ax,))][..., ax, None] * jump
-        up, down = (np.exp(f_face[s] - f_node[lo][hi])[..., None] * jump[s] for s in (hi, lo))
+        at = keep[lo][hi]
+        up, down = (np.exp(np.where(at, f_face[s] - f_node[lo][hi], 0.0))[..., None] * jump[s]
+                    for s in (hi, lo))
         div[lo][hi] += (up - down) / h[ax] ** 2
     sq = (g * g for g in grad_c)
     if A is not None:
         sq = (A[half_index(grid.ndim)][..., ax, None] * s for ax, s in enumerate(sq))
     grad_sq = _term_sum(sq)
     res = -div + 0.5 * w.fprime(vals) * grad_sq[..., None]
-    res[~grid.interior_mask] = 0.0
+    res[~keep] = 0.0
     return Field(grid, res)
 
 

@@ -91,6 +91,8 @@ def read_field(path) -> tuple[Field, Grid]:
     """
     with open(path) as fh:
         dims = tuple(int(t) for t in _header(fh, "dims"))
+        if not all(d > 0 for d in dims):
+            raise ValueError(f"field dump header: dims: must be positive, got {list(dims)}")
         spacing = tuple(float(t) for t in _header(fh, "spacing"))
         (ncomp,) = (int(t) for t in _header(fh, "components"))
         origin = tuple(float(t) for t in _header(fh, "origin"))

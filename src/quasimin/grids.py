@@ -92,8 +92,11 @@ class Grid:
         self.dims = tuple(int(d) for d in dims)
         self.spacing = tuple(float(h) for h in spacing)
         self.origin = tuple(float(o) for o in origin)
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("grid spacing must be positive")
+        # not 0 < h < inf refuses nan too
+        if not all(0 < h < np.inf for h in self.spacing):
+            raise ValueError("grid spacing must be finite and positive")
+        if not np.isfinite(self.origin).all():
+            raise ValueError("grid origin must be finite")
         node_class = np.ascontiguousarray(node_class, dtype=np.int8)
         if node_class.shape != self.dims:
             raise ValueError("node_class shape does not match dims")

@@ -5,8 +5,10 @@ interior nodes with exact Dirichlet equality on boundary nodes.  Descent
 takes Barzilai-Borwein (BB1) step lengths safeguarded into [1e-12, 1e6]
 with monotone Armijo backtracking (factor 1/2, parameter 1e-4) on the true
 energy along the projected path, so every iterate is feasible bit-exactly
-and the energy history never increases.  Both line-search values are
-fixed module constants (_BACKTRACK, _ARMIJO_C), not solver options.
+and the energy history never increases.  Only a trial that passes the
+Armijo test is accepted: a search whose _BACKTRACK_LIMIT (60) trials all
+fail ends the run at the last accepted iterate.  The line-search values
+are fixed module constants (_BACKTRACK, _ARMIJO_C), not solver options.
 Convergence is declared on the sup norm of the projected gradient:
 gradient components are zeroed wherever a bound is active and the descent
 direction points out of the box.
@@ -46,7 +48,6 @@ how the two harmonic-map solutions are exposed).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,7 @@ _BACKTRACK = 0.5
 # the metric is rebuilt once f_base at some in-domain cell has moved this
 # far since the last build
 _REFACTOR_DF = 0.7
+_LINE_SEARCH_STALL = "line search stalled at the minimum step"
 # tol_pg = _TOL_FACTOR (1 + initial energy) unless the options set it
 _TOL_FACTOR = 1e-8
 
@@ -123,18 +125,26 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
-    iterations: int
+    """What the descent loop alone knows; the counts it implies are derived.
+
+    energy_history and pg_history hold one entry for the start and one per
+    accepted step.  stall_reason is empty unless the run stopped early: on
+    a line search whose _BACKTRACK_LIMIT Armijo trials all failed, or on no
+    progress at numerical precision.
+    """
+
     energy_history: np.ndarray
     pg_history: np.ndarray
     active_count: int
-    wall_time: float
-    converged: bool
     tol_pg: float
-    line_search_failures: int = 0
     stall_reason: str = ""
     energy_evals: int = 0
     backtracks: int = 0
     factorizations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.energy_history) - 1
 
     @property
     def final_energy(self) -> float:
@@ -143,6 +153,15 @@ class SolveReport:
     @property
     def final_pg(self) -> float:
         return float(self.pg_history[-1])
+
+    @property
+    def converged(self) -> bool:
+        return self.final_pg <= self.tol_pg
+
+    @property
+    def line_search_failures(self) -> int:
+        """1 if the run ended on a failed line search, else 0."""
+        return int(self.stall_reason == _LINE_SEARCH_STALL)
 
 
 def _project_values(values: np.ndarray, adm: AdmissibleSet) -> np.ndarray:
@@ -255,10 +274,6 @@ class _Metric:
             self.T, self.cs, self.inverse = _scaled_block(self.grid, self.lap_inv, weights)
         self.factorizations += 1
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """K^{-1} r on the interior nodes, zero elsewhere: K_w with no node held."""
-        return self.inverse(r)
-
     def form(self, s: np.ndarray) -> float:
         """<s, K_w s> for s zero off the interior; 0 before the first build."""
         return float(sum(np.sum(c * d ** 2)
@@ -283,7 +298,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
     reported through the converged flag, not an exception.
     """
     opts = opts or SolveOptions()
-    t0 = time.perf_counter()
     # the sample points never move: sample the tensor once
     A = sample_tensor(grid, A)
     metric = _Metric(grid, A)
@@ -300,22 +314,18 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
 
     energies = [E]
     pgs = [pgn]
-    ls_failures = 0
     backtracks = 0
     stall = ""
-    converged = pgn <= tol
     iters = 0
     # the first step length is 1/2, the exact minimizer along d of the
     # frozen-weight model E - tau <g, d> + tau^2 vol <d, K_w d>, since
     # vol K_w d = g; BB takes over after the first (s, y) pair
     bb, prev_tau = 0.5, 1.0
-    best_pg = pgn
-    best_E = E
-    last_progress = 0
+    best_E, best_pg, last_progress = E, pgn, 0
 
-    while not converged and iters < opts.max_iters:
+    while not pgn <= tol and iters < opts.max_iters:
         metric.refresh(fb, held)
-        d = metric.solve(g) / grid.cell_volume
+        d = metric.inverse(g) / grid.cell_volume
         tau = float(np.clip(bb, _STEP_MIN, _STEP_MAX))
         for _ in range(_BACKTRACK_LIMIT):
             U_new = _project_values(U - tau * d, adm)
@@ -329,22 +339,14 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             tau *= _BACKTRACK
             backtracks += 1
         else:
-            # safeguarded fallback: accept any plain decrease at the
-            # smallest step, otherwise stop at the current iterate
-            ls_failures += 1
-            tau = _STEP_MIN
-            U_new = _project_values(U - tau * d, adm)
-            E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
-            evals += 1
-            if not (np.isfinite(E_new) and E_new <= E):
-                stall = "line search stalled at the minimum step"
-                break
+            # no trial passed the Armijo test: stop at the last accepted iterate
+            stall = _LINE_SEARCH_STALL
+            break
 
         g_new = grad()
-        s = U_new - U
-        sy = float(np.sum(s * (g_new - g)))
+        sy = float(np.sum(step * (g_new - g)))
         # the BB1 length in the metric, <s, vol K_w s> / <s, y>
-        ss = grid.cell_volume * metric.form(s)
+        ss = grid.cell_volume * metric.form(step)
         bb = ss / sy if sy > 1e-300 and ss > 0 else 2.0 * max(tau, prev_tau)
         prev_tau = tau
 
@@ -354,7 +356,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         iters += 1
         energies.append(E)
         pgs.append(pgn)
-        converged = pgn <= tol
         if E < best_E or pgn < best_pg:
             best_E = min(best_E, E)
             best_pg = min(best_pg, pgn)
@@ -367,14 +368,10 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             break
 
     report = SolveReport(
-        iterations=iters,
         energy_history=np.asarray(energies),
         pg_history=np.asarray(pgs),
         active_count=int(((np.abs(U) >= adm.box).any(axis=-1) & grid.interior_mask).sum()),
-        wall_time=time.perf_counter() - t0,
-        converged=bool(converged),
         tol_pg=float(tol),
-        line_search_failures=ls_failures,
         stall_reason=stall,
         energy_evals=evals,
         backtracks=backtracks,

@@ -228,6 +228,10 @@ def _malformed(lines):
         "bad_header": [header[0], "spacings: 0.5 0.25", *header[2:]] + rows,
         "swapped_rows": header + [rows[1], rows[0]] + rows[2:],
         "bad_class": header + rows[:3] + ["0 3 7" + rows[3][5:]] + rows[4:],
+        "nan_spacing": [header[0], "spacing: nan 0.25", *header[2:]] + rows,
+        "inf_spacing": [header[0], "spacing: inf 0.25", *header[2:]] + rows,
+        "nan_origin": [*header[:3], "origin: nan 0"] + rows,
+        "negative_dims": ["dims: 3 -3", *header[1:]] + rows,
     }
 
 
@@ -245,6 +249,10 @@ _MALFORMED_MESSAGES = {
     "bad_header": "expected 'spacing:'",
     "swapped_rows": "line 5: indices and class",
     "bad_class": "line 8: indices and class",
+    "nan_spacing": "grid spacing must be finite and positive",
+    "inf_spacing": "grid spacing must be finite and positive",
+    "nan_origin": "grid origin must be finite",
+    "negative_dims": r"dims: must be positive, got \[3, -3\]",
 }
 
 
@@ -427,6 +435,24 @@ def test_weights_below_double_range_leave_a_finite_residual(tmp_path):
     summary = read_summary(out / "summary.txt")
     assert summary["converged"] == "true"
     assert np.isfinite(float(summary["el_residual"]))
+
+
+def test_converged_solve_with_nodes_on_the_bound_exits_0(tmp_path):
+    # nodes held at 0.9 sit next to nodes near 0, where e^{f_face - f_node}
+    # is e^{1215}; the residual leaves the nodes on the bound out
+    text = (SOLVE_SPEC.replace("alpha = 1.0", "alpha = 2000")
+            .replace("values = x1 * x2", "values = 0.9 * (x1 > 0.5)")
+            + "\n[solver]\nmax_iters = 200\n")
+    code, out = run(tmp_path, "b.cfg", text, "solve")
+    assert code == 0
+    summary = read_summary(out / "summary.txt")
+    assert summary["converged"] == "true"
+    assert int(summary["active_constraints"]) > 0
+    assert np.isfinite(float(summary["el_residual"]))
+    field, _ = read_field(out / "solution.field")
+    assert np.isfinite(field.values).all()
+    history = (out / "history.csv").read_text().splitlines()
+    assert len(history) == int(summary["iterations"]) + 1
 
 
 def _raise_convergence(*args, **kwargs):

@@ -229,6 +229,29 @@ def test_unit_tensor_residual_is_the_isotropic_residual_on_the_disk():
     assert (np.abs(unit).max(axis=-1) > 0.0)[g.interior_mask].all()
 
 
+def test_residual_leaves_the_nodes_on_the_box_bound_out():
+    # a node with a component on its bound reads 0; every other node keeps
+    # the bits of the residual without a box
+    g = unit_disk(17)
+    box = np.array([0.6, 0.8])
+    vals = np.clip(random_field(g, 2, seed=5), -box, box)
+    U = Field(g, vals)
+    on = (np.abs(vals) >= box).any(axis=-1) & g.interior_mask
+    assert on.any() and (g.interior_mask & ~on).any()
+    free = el_residual(g, U, gaussian(1.0)).values
+    held = el_residual(g, U, gaussian(1.0), box=box).values
+    assert np.all(held[on] == 0.0)
+    assert np.array_equal(held[~on], free[~on])
+
+
+def test_residual_skips_the_face_weights_of_nodes_on_the_bound():
+    # e^{f_face - f_node} is e^{1215} at the node held at 0.9 beside 0
+    g = interval(5)
+    vals = np.array([0.0, 0.0, 0.9, 0.0, 0.0])[:, None]
+    res = el_residual(g, Field(g, vals), gaussian(2000.0), box=np.array([0.9]))
+    assert np.isfinite(res.values).all() and res.values[2, 0] == 0.0
+
+
 def test_ellipticity_bounds():
     pts = np.array([[0.5, 0.5], [0.25, 0.75]])
     lo, hi = ellipticity_bounds(CoefficientTensor.identity(), pts)

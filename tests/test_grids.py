@@ -11,7 +11,7 @@ from quasimin import (
     restrict,
     sample_boundary,
 )
-from quasimin.grids import BoundaryData, _classify
+from quasimin.grids import BoundaryData, Grid, _classify
 
 
 def test_box_5x5_counts():
@@ -117,6 +117,19 @@ def test_build_grid_errors():
     tiny = DomainSpec.masked_box([(0, 1)], lambda p: p[..., 0] < -1)
     with pytest.raises(ValueError, match="interior"):
         build_grid(tiny, (5,))
+
+
+@pytest.mark.parametrize("spacing, origin, message", [
+    ((0.5, 0.0), (0.0, 0.0), "spacing must be finite and positive"),
+    ((0.5, -0.5), (0.0, 0.0), "spacing must be finite and positive"),
+    ((np.nan, 0.5), (0.0, 0.0), "spacing must be finite and positive"),
+    ((np.inf, 0.5), (0.0, 0.0), "spacing must be finite and positive"),
+    ((0.5, 0.5), (np.nan, 0.0), "origin must be finite"),
+    ((0.5, 0.5), (0.0, -np.inf), "origin must be finite"),
+], ids=["zero", "negative", "nan", "inf", "nan_origin", "inf_origin"])
+def test_grid_refuses_spacing_and_origin_that_are_not_finite(spacing, origin, message):
+    with pytest.raises(ValueError, match=message):
+        Grid((3, 3), spacing, origin, np.zeros((3, 3), np.int8))
 
 
 def test_sample_boundary_constant_vector():

@@ -309,7 +309,7 @@ def test_first_preconditioned_step_is_the_frozen_weight_minimizer(n, most):
     _, _, grad, fb = energy_raw(g, U, w)
     metric = _Metric(g, None)
     metric.refresh(fb, np.zeros(g.dims, bool))
-    d = metric.solve(grad()) / g.cell_volume
+    d = metric.inverse(grad()) / g.cell_volume
     assert np.array_equal(one.values, _project_values(U - 0.5 * d, adm))
     u, rep = minimize(g, w, adm)
     assert rep.converged and rep.iterations <= most, rep.iterations
@@ -405,7 +405,7 @@ def test_constant_weight_box_metric_is_the_averaged_inverse(grid):
     metric = _Metric(grid, None)
     metric.refresh(np.zeros(tuple(d - 1 for d in grid.dims)), np.zeros(grid.dims, bool))
     r = rng.standard_normal(grid.dims + (2,))
-    assert np.array_equal(metric.solve(r), box_laplacian_inverse(grid, averaged=True)(r))
+    assert np.array_equal(metric.inverse(r), box_laplacian_inverse(grid, averaged=True)(r))
 
 
 def test_no_progress_at_numerical_precision_stops_the_descent():
@@ -435,6 +435,8 @@ def test_line_search_stalled_at_the_minimum_step_returns_the_start(monkeypatch):
     assert rep.stall_reason == "line search stalled at the minimum step"
     assert rep.line_search_failures == 1
     assert not rep.converged and rep.iterations == 0
+    # the start, then _BACKTRACK_LIMIT trials, none of them accepted
+    assert rep.energy_evals == 1 + rep.backtracks == 61
     assert rep.energy_history.tolist() == [energy_raw(g, start, gaussian(1.0))[0]]
     assert np.array_equal(u.values, start)
 
