@@ -4,8 +4,8 @@ The energy of a nodal field U is assembled cell by cell with midpoint
 quadrature: per lattice cell, the gradient DU is formed by the cell-averaged
 differences D_i (difference along axis i, average along the others), the
 weight e^{f} is evaluated at the cell average of U, and the contribution is
-e^{f} * Q(DU) * cell volume where Q is either |DU|^2 or sum_i a_i |D_i U|^2
-for the per-axis coefficients a_i(x) of a CoefficientTensor, the same for
+e^{f} * Q(DU) * cell volume where Q = sum_i a_i |D_i U|^2 for the per-axis
+coefficients a_i(x) of a CoefficientTensor (all 1 for |DU|^2), the same for
 every component and read at the cell midpoint from the one evaluation of
 sample_tensor (see there for every point it covers).  to_cells forms the
 average and every D_i in one pass of 1D two-point stencils, and the
@@ -45,7 +45,7 @@ class CoefficientTensor:
     The energy density is sum_i a_i |D_i U|^2: every component sees the
     same coefficient along axis i.  entries holds one constant or one
     callable (points -> values) per spatial axis, or is None for the
-    identity, which takes the isotropic |DU|^2 code path bit-exactly.
+    identity, which sample_tensor samples as ones: |DU|^2 bit-exactly.
     """
 
     entries: tuple | None = None
@@ -90,8 +90,8 @@ def half_index(ndim: int, odd_axes=()) -> tuple[slice, ...]:
     return tuple(slice(1 if ax in odd_axes else 0, None, 2) for ax in range(ndim))
 
 
-def sample_tensor(grid: Grid, A) -> np.ndarray | None:
-    """The coefficients on the half-step lattice, (2 dims - 1) + (n,); None for |DU|^2.
+def sample_tensor(grid: Grid, A) -> np.ndarray:
+    """The coefficients on the half-step lattice, (2 dims - 1) + (n,).
 
     Point k of the lattice is origin + (h/2) k (see half_index).  A is
     evaluated in one call, at the points that some formula reads: the
@@ -99,14 +99,16 @@ def sample_tensor(grid: Grid, A) -> np.ndarray | None:
     nodes, and the faces between an interior node and an axis neighbour
     (el_residual).  Every other point holds 1.0, so A need only be
     defined and elliptic on the domain.  A may be None, a
-    CoefficientTensor, or coefficients sampled already.
+    CoefficientTensor, or coefficients sampled already.  None and the
+    identity give a read-only view of ones, no memory, exact in products.
     """
-    if A is None or isinstance(A, np.ndarray):
+    if isinstance(A, np.ndarray):
         return A
-    if A.entries is None:
-        return None
     n, inner = grid.ndim, grid.interior_mask
-    read = np.zeros(tuple(2 * d - 1 for d in grid.dims), dtype=bool)
+    lattice = tuple(2 * d - 1 for d in grid.dims)
+    if A is None or A.entries is None:
+        return np.broadcast_to(1.0, lattice + (n,))
+    read = np.zeros(lattice, dtype=bool)
     read[half_index(n, range(n))] = grid.cell_mask
     read[half_index(n)] = inner
     for ax in range(n):
@@ -218,10 +220,10 @@ def weighted_laplacian(grid: Grid, weights):
     return coo.tocsc()
 
 
-def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None):
+def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray):
     """Shared per-cell quantities for energy and gradient assembly.
 
-    A is None or the coefficients a_i sampled by sample_tensor; the kernel
+    A holds the coefficients a_i sampled by sample_tensor; the kernel
     reads them at the cell midpoints.  Returns (f_base per cell, weight
     e^{f_base} per cell, quadratic form Q per cell, the A-weighted
     differences G_i (cells, N) per axis with dQ/dD_i U = 2 G_i, cell
@@ -232,20 +234,18 @@ def _cell_kernel(grid: Grid, values: np.ndarray, w: Weight, A: np.ndarray | None
     fcell = w.f_base(ubar)
     wcell = np.exp(fcell)
 
-    if A is None:
-        G = D
-    else:
-        mids = A[half_index(grid.ndim, range(grid.ndim))]
-        G = [mids[..., i, None] * d for i, d in enumerate(D)]
-    Q = _term_sum(d * g for d, g in zip(D, G))
+    mids = A[half_index(grid.ndim, range(grid.ndim))]
+    G = [mids[..., i, None] * d for i, d in enumerate(D)]
+    # D is not returned: its buffers take the products d g
+    Q = _term_sum(np.multiply(d, g, out=d) for d, g in zip(D, G))
     return fcell, wcell, Q, G, ubar
 
 
 def energy_raw(grid: Grid, values: np.ndarray, w: Weight, A=None):
     """Energy value, per-cell contributions, grad, f_base.
 
-    A is None, a CoefficientTensor (sampled on this call) or its
-    coefficients sampled by sample_tensor.  grad is a zero-argument closure
+    A goes through sample_tensor, which takes None, a CoefficientTensor
+    or coefficients it sampled before.  grad is a zero-argument closure
     over this call's cell-kernel outputs; calling it returns the exact
     gradient at the same values without a second kernel pass.  f_base is
     the weight's base function at the cell averages of the values.
@@ -308,8 +308,8 @@ def el_residual(grid: Grid, U: Field, w: Weight,
     e^{f_face - f_node}, finite where both underflow; |d_i U|^2 uses
     central differences and a_i at the node.  A is read there, on the
     half-step lattice of sample_tensor.  The additive shift of the weight
-    cancels in f_face - f_node and is omitted.  With A None or the
-    identity nothing is multiplied by a coefficient.
+    cancels in f_face - f_node and is omitted.  None and the identity
+    multiply by 1.0, which is exact.
 
     Given the box bound C, a node with a component on its bound
     (|U_a| >= C_a) reads 0: the equation need not hold there.  Its face
@@ -332,17 +332,13 @@ def el_residual(grid: Grid, U: Field, w: Weight,
         grad_c[ax][lo][hi] = (vals[hi][hi] - vals[lo][lo]) / (2 * h[ax])
         # a_ax d_ax U on each face, weighted e^{f_face - f_node} from either node
         f_face = w.f_base(0.5 * (vals[lo] + vals[hi]))
-        jump = vals[hi] - vals[lo]
-        if A is not None:
-            jump = A[half_index(grid.ndim, (ax,))][..., ax, None] * jump
+        jump = A[half_index(grid.ndim, (ax,))][..., ax, None] * (vals[hi] - vals[lo])
         at = keep[lo][hi]
         up, down = (np.exp(np.where(at, f_face[s] - f_node[lo][hi], 0.0))[..., None] * jump[s]
                     for s in (hi, lo))
         div[lo][hi] += (up - down) / h[ax] ** 2
-    sq = (g * g for g in grad_c)
-    if A is not None:
-        sq = (A[half_index(grid.ndim)][..., ax, None] * s for ax, s in enumerate(sq))
-    grad_sq = _term_sum(sq)
+    nodes = A[half_index(grid.ndim)]
+    grad_sq = _term_sum(nodes[..., ax, None] * (g * g) for ax, g in enumerate(grad_c))
     res = -div + 0.5 * w.fprime(vals) * grad_sq[..., None]
     res[~keep] = 0.0
     return Field(grid, res)

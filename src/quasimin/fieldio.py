@@ -85,16 +85,19 @@ def read_field(path) -> tuple[Field, Grid]:
     """Read a dump written by write_field; values round-trip bit-exactly.
 
     Raises ValueError on a malformed dump: a bad header, a row of the
-    wrong width or with an unparsable token, too few rows, or node
-    indices and classes that are not the row-major scan of the header's
-    grid.
+    wrong width or with an unparsable token, too few or too many rows, or
+    node indices and classes that are not the row-major scan of the
+    header's grid.
     """
     with open(path) as fh:
         dims = tuple(int(t) for t in _header(fh, "dims"))
         if not all(d > 0 for d in dims):
             raise ValueError(f"field dump header: dims: must be positive, got {list(dims)}")
         spacing = tuple(float(t) for t in _header(fh, "spacing"))
-        (ncomp,) = (int(t) for t in _header(fh, "components"))
+        comps = " ".join(_header(fh, "components"))
+        if not comps.isdecimal() or (ncomp := int(comps)) < 1:
+            raise ValueError(f"field dump header: components: must be one positive "
+                             f"integer, got {comps!r}")
         origin = tuple(float(t) for t in _header(fh, "origin"))
         n = len(dims)
         if len(spacing) != n or len(origin) != n:
@@ -117,8 +120,10 @@ def read_field(path) -> tuple[Field, Grid]:
             # loadtxt does not, such as 1_0, keeps loadtxt's message
             raise ValueError(_unparsed_line(path, width) or f"field dump body, expected "
                              f"{width} columns per row: {exc}") from None
-    if body.shape[0] != count:
-        raise ValueError(f"field dump has {body.shape[0]} rows, expected {count}")
+        # loadtxt stops after count rows; each non-blank line after them is one more
+        rows = len(body) + sum(1 for line in fh if line.strip())
+    if rows != count:
+        raise ValueError(f"field dump has {rows} rows, expected {count}")
     if body.shape[1] != width:
         raise ValueError(f"field dump rows have {body.shape[1]} columns, expected "
                          f"{width} ({n} indices, the class, {ncomp} values)")

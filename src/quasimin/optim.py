@@ -66,7 +66,7 @@ _BACKTRACK = 0.5
 # the metric is rebuilt once f_base at some in-domain cell has moved this
 # far since the last build
 _REFACTOR_DF = 0.7
-_LINE_SEARCH_STALL = "line search stalled at the minimum step"
+_LINE_SEARCH_STALL = f"line search failed: all {_BACKTRACK_LIMIT} Armijo trials rejected"
 # tol_pg = _TOL_FACTOR (1 + initial energy) unless the options set it
 _TOL_FACTOR = 1e-8
 
@@ -138,13 +138,17 @@ class SolveReport:
     active_count: int
     tol_pg: float
     stall_reason: str = ""
-    energy_evals: int = 0
     backtracks: int = 0
     factorizations: int = 0
 
     @property
     def iterations(self) -> int:
         return len(self.energy_history) - 1
+
+    @property
+    def energy_evals(self) -> int:
+        """The start, then every line-search trial: each accepted step and each backtrack."""
+        return 1 + self.iterations + self.backtracks
 
     @property
     def final_energy(self) -> float:
@@ -248,9 +252,9 @@ class _Metric:
     holds no reference to the metric, so it makes no cycle.
     """
 
-    def __init__(self, grid: Grid, A: np.ndarray | None):
+    def __init__(self, grid: Grid, A):
         self.grid = grid
-        self.A = None if A is None else A[half_index(grid.ndim, range(grid.ndim))]
+        self.A = sample_tensor(grid, A)[half_index(grid.ndim, range(grid.ndim))]
         self.cell_in = grid.cell_mask
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
         self.f_ref = self.held = None
@@ -264,10 +268,7 @@ class _Metric:
             return
         self.f_ref, self.held = fb, held
         c = self.cell_in * np.exp(fb)
-        if self.A is None:
-            weights = [c] * self.grid.ndim
-        else:
-            weights = [c * self.A[..., i] for i in range(self.grid.ndim)]
+        weights = [c * self.A[..., i] for i in range(self.grid.ndim)]
         if self.lap_inv is None or held.any():
             self.T, self.cs, self.inverse = _factored_block(self.grid, weights, held)
         else:
@@ -304,7 +305,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
 
     U = _project_values(_initial_values(grid, adm, opts.init), adm)
     E, _, grad, fb = energy_raw(grid, U, w, A)
-    evals = 1
     if not np.isfinite(E):
         raise FloatingPointError("initial energy is not finite")
     g = grad()
@@ -332,7 +332,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
             step = U_new - U
             dd = float(np.sum(g * step))
             E_new, _, grad, fb_new = energy_raw(grid, U_new, w, A)
-            evals += 1
             # a clipped step may point uphill (dd > 0); it must still not raise E
             if np.isfinite(E_new) and E_new <= E + _ARMIJO_C * min(dd, 0.0):
                 break
@@ -373,7 +372,6 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
         active_count=int(((np.abs(U) >= adm.box).any(axis=-1) & grid.interior_mask).sum()),
         tol_pg=float(tol),
         stall_reason=stall,
-        energy_evals=evals,
         backtracks=backtracks,
         factorizations=metric.factorizations,
     )

@@ -151,6 +151,9 @@ def test_field_round_trip_bit_exact(tmp_path):
     back, grid2 = read_field(path)
     assert np.array_equal(back.values, f.values)
     assert np.array_equal(grid2.node_class, g.node_class)
+    # blank lines after the last row are not rows
+    path.write_text(path.read_text() + "\n  \n")
+    assert np.array_equal(read_field(path)[0].values, f.values)
 
 
 def _per_node_dump(field):
@@ -232,6 +235,11 @@ def _malformed(lines):
         "inf_spacing": [header[0], "spacing: inf 0.25", *header[2:]] + rows,
         "nan_origin": [*header[:3], "origin: nan 0"] + rows,
         "negative_dims": ["dims: 3 -3", *header[1:]] + rows,
+        "zero_components": [*header[:2], "components: 0", header[3]] + rows,
+        "negative_components": [*header[:2], "components: -1", header[3]] + rows,
+        "two_components_values": [*header[:2], "components: 1 2", header[3]] + rows,
+        "empty_components": [*header[:2], "components:", header[3]] + rows,
+        "extra_row": header + rows + [rows[-1]],
     }
 
 
@@ -253,6 +261,11 @@ _MALFORMED_MESSAGES = {
     "inf_spacing": "grid spacing must be finite and positive",
     "nan_origin": "grid origin must be finite",
     "negative_dims": r"dims: must be positive, got \[3, -3\]",
+    "zero_components": "components: must be one positive integer, got '0'",
+    "negative_components": "components: must be one positive integer, got '-1'",
+    "two_components_values": "components: must be one positive integer, got '1 2'",
+    "empty_components": "components: must be one positive integer, got ''",
+    "extra_row": "field dump has 13 rows, expected 12",
 }
 
 

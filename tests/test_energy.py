@@ -280,7 +280,12 @@ def test_sample_tensor_reads_the_points_the_formulas_read():
     mids = S[half_index(2, (0, 1))]
     assert (mids[~g.cell_mask] == 1.0).all() and (mids[g.cell_mask] > 0.0).all()
     assert sample_tensor(g, S) is S
-    assert sample_tensor(g, CoefficientTensor.identity()) is None
+    # the identity is a read-only view of ones on the whole lattice, no memory of its own
+    for ones in (sample_tensor(g, None), sample_tensor(g, CoefficientTensor.identity())):
+        assert ones.shape == (33, 33, 2)
+        assert (ones == 1.0).all()
+        assert not ones.flags.writeable
+        assert ones.strides == (0, 0, 0)
 
 
 def test_sampled_tensor_gives_the_bits_of_the_tensor():
@@ -297,6 +302,30 @@ def test_sampled_tensor_gives_the_bits_of_the_tensor():
     assert np.array_equal(U_a.values, U_s.values)
     assert np.array_equal(rep_a.energy_history, rep_s.energy_history)
     assert kkt_residual(g, U_a, w, adm, A) == kkt_residual(g, U_a, w, adm, S)
+
+
+@pytest.mark.parametrize("make, ncomp", [
+    (lambda: unit_disk(17), 1),
+    (lambda: build_grid(DomainSpec.half_ball(1.0, 3), (9, 9, 5)), 2),
+], ids=["disk", "half_ball"])
+def test_unit_coefficients_give_the_bits_of_the_identity(make, ncomp):
+    # the LU metric, the cell kernel and the residual all read the ones
+    g = make()
+    w = gaussian(1.0)
+    adm = AdmissibleSet.from_boundary(
+        sample_boundary(g, lambda p: np.stack([p[:, 0] * p[:, 1], p[:, -1] - p[:, 0]][:ncomp],
+                                              axis=-1)))
+    runs = [minimize(g, w, adm, A=A) for A in
+            (None, CoefficientTensor.identity(), CoefficientTensor.diagonal([1.0] * g.ndim))]
+    assert runs[0][1].converged
+    for U, rep in runs[1:]:
+        assert np.array_equal(U.values, runs[0][0].values)
+        assert np.array_equal(rep.energy_history, runs[0][1].energy_history)
+        assert np.array_equal(rep.pg_history, runs[0][1].pg_history)
+    U = Field(g, random_field(g, ncomp, seed=3))
+    res = [el_residual(g, U, w, A).values for A in
+           (None, CoefficientTensor.identity(), CoefficientTensor.diagonal([1.0] * g.ndim))]
+    assert np.array_equal(res[0], res[1]) and np.array_equal(res[0], res[2])
 
 
 def _reference_energy(grid, vals, w, A):

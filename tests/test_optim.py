@@ -432,7 +432,7 @@ def test_line_search_stalled_at_the_minimum_step_returns_the_start(monkeypatch):
 
     monkeypatch.setattr("quasimin.optim.energy_raw", nan_after_the_first)
     u, rep = minimize(g, gaussian(1.0), adm)
-    assert rep.stall_reason == "line search stalled at the minimum step"
+    assert rep.stall_reason == "line search failed: all 60 Armijo trials rejected"
     assert rep.line_search_failures == 1
     assert not rep.converged and rep.iterations == 0
     # the start, then _BACKTRACK_LIMIT trials, none of them accepted
