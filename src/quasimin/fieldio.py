@@ -6,9 +6,9 @@ values printed with 17 significant digits, which round-trips float64
 bit-exactly.  The writer renders each row exactly as `format(x, ".17g")`
 per value would.  The reader parses the body in one numpy call and is
 strict: a malformed dump raises ValueError naming the header key, the
-file line or the expected row width.  Summaries are flat `key = value` listings with a stable key
-order; convergence histories are separate comma-separated files with one
-line per recorded iterate.
+file line or the expected row width.  Summaries are flat `key = value`
+listings with a stable key order; convergence histories are separate
+comma-separated files with one line per recorded iterate.
 """
 
 from __future__ import annotations
@@ -56,12 +56,19 @@ def write_field(field: Field, path) -> None:
             fh.write(line * len(k) % tuple(items))
 
 
-def _header(fh, key: str) -> list[str]:
+def _header(fh, key: str, kind=str) -> list:
     line = fh.readline()
     name, colon, rest = line.partition(":")
     if name != key or not colon:
         raise ValueError(f"field dump header: expected '{key}:', got {line.strip()!r}")
-    return rest.split()
+    values = []
+    for token in rest.split():
+        try:
+            values.append(kind(token))
+        except ValueError:
+            raise ValueError(f"field dump header: {key}: {token!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}") from None
+    return values
 
 
 def _unparsed_line(path, width: int) -> str:
@@ -90,15 +97,15 @@ def read_field(path) -> tuple[Field, Grid]:
     header's grid.
     """
     with open(path) as fh:
-        dims = tuple(int(t) for t in _header(fh, "dims"))
+        dims = tuple(_header(fh, "dims", int))
         if not all(d > 0 for d in dims):
             raise ValueError(f"field dump header: dims: must be positive, got {list(dims)}")
-        spacing = tuple(float(t) for t in _header(fh, "spacing"))
+        spacing = tuple(_header(fh, "spacing", float))
         comps = " ".join(_header(fh, "components"))
         if not comps.isdecimal() or (ncomp := int(comps)) < 1:
             raise ValueError(f"field dump header: components: must be one positive "
                              f"integer, got {comps!r}")
-        origin = tuple(float(t) for t in _header(fh, "origin"))
+        origin = tuple(_header(fh, "origin", float))
         n = len(dims)
         if len(spacing) != n or len(origin) != n:
             raise ValueError(f"field dump header: {n} dims but {len(spacing)} "

@@ -17,7 +17,7 @@ The harmonic-extension start is one oracle.poisson_dirichlet call: DST-I
 on box grids, whose interior is every non-hull lattice node, and
 DST-I-preconditioned conjugate gradients elsewhere.  Every step is
 preconditioned: the descent steps along d = K_w^{-1} g / vol, with the
-BB1 length taken in the same metric, <s, vol K_w s> / <s, y>: a spectral
+BB1 length taken in the same metric, -tau <g, s> / <s, y>: a spectral
 projected gradient in H^1 (Birgin, Martinez and Raydan 2000), whose
 iteration count stays flat under refinement.  The first step has length
 1/2, the exact minimizer along d of the frozen-weight quadratic model
@@ -32,14 +32,15 @@ cell-averaged Laplacian and S^2 the node mean of the cell weights
 (energy.to_nodes), so S^{-1} K^{-1} S^{-1} costs one DST-I pair of
 oracle.box_laplacian_inverse (the Sobolev gradient of Neuberger, with
 the weight).  On masked and half-ball grids K_w is assembled sparse and
-factored by LU.  The BB form <s, K_w s> sums the weighted squares of
-the D_i of energy.to_cells.  An interior node with a component that the
-projected gradient zeroes is held, a Dirichlet node of the metric: while
-some node is held, K_w with the held rows and columns cut down to their
-diagonal is factored by LU on every grid, rebuilt when the held set
-changes (projected Newton, Bertsekas 1982).  A coefficient tensor is
-sampled once per solve (energy.sample_tensor), and the energy and the
-metric read it at the cell midpoints.
+factored by LU.  An interior node with a component that the projected
+gradient zeroes is held, a Dirichlet node of the metric: while some node
+is held, K_w with the held rows and columns cut down to their diagonal
+is factored by LU on every grid, rebuilt when the held set changes
+(projected Newton, Bertsekas 1982).  The BB numerator -tau <g, s>, taken
+from the Armijo test, is <s, vol K s> for the operator K a block inverts
+(vol K d = g) while the projection moves only held entries.  A
+coefficient tensor is sampled once per solve (energy.sample_tensor), and
+the energy and the metric read it at the cell midpoints.
 
 No claim of global minimality is made; the energy is nonconvex and
 different initializations may reach different stationary points (which is
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (CoefficientTensor, energy_raw, grad_raw, half_index, sample_tensor,
-                     to_cells, to_nodes, weighted_laplacian)
+                     to_nodes, weighted_laplacian)
 from .grids import BoundaryData, Field, Grid
 from .oracle import box_laplacian_inverse, poisson_dirichlet
 from .weights import Weight
@@ -196,18 +197,18 @@ def _projected_gradient(values: np.ndarray, grad: np.ndarray,
 
 
 def _scaled_block(grid, lap_inv, weights):
-    """(S, 1, S^{-1} K^{-1} S^{-1}), S^2 the node mean of the axis-averaged weights."""
+    """S^{-1} K^{-1} S^{-1}, S^2 the node mean of the axis-averaged weights."""
     S = np.sqrt(to_nodes(grid, sum(weights) / len(weights)))
     # where every adjacent cell weight underflows, S = 1 mirrors the unit
     # diagonal that K_w gives an empty row
     S[S == 0.0] = 1.0
     S = S[..., None]
-    return S, [1.0] * len(weights), lambda r: lap_inv(r / S) / S
+    return lambda r: lap_inv(r / S) / S
 
 
 def _factored_block(grid, weights, held):
-    """(1, c_i, K^{-1}), K = K_w with the held rows and columns cut down to their
-    diagonal, factored by sparse LU in float32: only a metric."""
+    """K^{-1}, K = K_w with the held rows and columns cut down to their diagonal,
+    factored by sparse LU in float32: only a metric."""
     # imported here, as in weighted_laplacian: only the LU block needs it
     from scipy import sparse
     from scipy.sparse.linalg import splu
@@ -237,7 +238,7 @@ def _factored_block(grid, weights, held):
         out.reshape(-1, k)[idx] = lu.solve(r.reshape(-1, k)[idx].astype(np.float32))
         return out
 
-    return 1.0, [c[..., None] for c in weights], inverse
+    return inverse
 
 
 class _Metric:
@@ -245,11 +246,10 @@ class _Metric:
 
     Its cell weights c a_i, with c = cell_in e^{f_base(ubar)} and a_i the
     tensor's coefficients at the cell midpoints, are the same for every
-    component.  The block (T, c, inverse) has the BB form sum_i sum_cells
-    c |D_i (T s)|^2 of K_w, the exact form of the operator it inverts while
-    no node is held: the scaled DST-I block on box grids, the LU block
-    elsewhere and on every grid while some node is held.  The inverse
-    holds no reference to the metric, so it makes no cycle.
+    component.  Its one representation is the inverse: the scaled DST-I
+    block on box grids, the LU block elsewhere and on every grid while
+    some node is held.  The inverse holds no reference to the metric, so
+    it makes no cycle.
     """
 
     def __init__(self, grid: Grid, A):
@@ -257,8 +257,7 @@ class _Metric:
         self.A = sample_tensor(grid, A)[half_index(grid.ndim, range(grid.ndim))]
         self.cell_in = grid.cell_mask
         self.lap_inv = box_laplacian_inverse(grid, averaged=True)
-        self.f_ref = self.held = None
-        self.T, self.cs, self.inverse = 1.0, [], None
+        self.f_ref = self.held = self.inverse = None
         self.factorizations = 0
 
     def refresh(self, fb: np.ndarray, held: np.ndarray) -> None:
@@ -269,16 +268,10 @@ class _Metric:
         self.f_ref, self.held = fb, held
         c = self.cell_in * np.exp(fb)
         weights = [c * self.A[..., i] for i in range(self.grid.ndim)]
-        if self.lap_inv is None or held.any():
-            self.T, self.cs, self.inverse = _factored_block(self.grid, weights, held)
-        else:
-            self.T, self.cs, self.inverse = _scaled_block(self.grid, self.lap_inv, weights)
+        self.inverse = (_factored_block(self.grid, weights, held)
+                        if self.lap_inv is None or held.any()
+                        else _scaled_block(self.grid, self.lap_inv, weights))
         self.factorizations += 1
-
-    def form(self, s: np.ndarray) -> float:
-        """<s, K_w s> for s zero off the interior; 0 before the first build."""
-        return float(sum(np.sum(c * d ** 2)
-                         for c, d in zip(self.cs, to_cells(self.grid, self.T * s)[1])))
 
 
 def _initial_values(grid: Grid, adm: AdmissibleSet, init: Field | None) -> np.ndarray:
@@ -344,9 +337,8 @@ def minimize(grid: Grid, w: Weight, adm: AdmissibleSet,
 
         g_new = grad()
         sy = float(np.sum(step * (g_new - g)))
-        # the BB1 length in the metric, <s, vol K_w s> / <s, y>
-        ss = grid.cell_volume * metric.form(step)
-        bb = ss / sy if sy > 1e-300 and ss > 0 else 2.0 * max(tau, prev_tau)
+        # BB1 in the metric: -tau <g, s> = <s, vol K s> unless a free node was clipped
+        bb = -tau * dd / sy if sy > 1e-300 and dd < 0 else 2.0 * max(tau, prev_tau)
         prev_tau = tau
 
         U, E, g, fb = U_new, E_new, g_new, fb_new

@@ -235,6 +235,10 @@ def _malformed(lines):
         "inf_spacing": [header[0], "spacing: inf 0.25", *header[2:]] + rows,
         "nan_origin": [*header[:3], "origin: nan 0"] + rows,
         "negative_dims": ["dims: 3 -3", *header[1:]] + rows,
+        "dims_word": ["dims: 3 x", *header[1:]] + rows,
+        "dims_float": ["dims: 3 4.0", *header[1:]] + rows,
+        "spacing_word": [header[0], "spacing: a 0.25", *header[2:]] + rows,
+        "origin_word": [*header[:3], "origin: 0 b"] + rows,
         "zero_components": [*header[:2], "components: 0", header[3]] + rows,
         "negative_components": [*header[:2], "components: -1", header[3]] + rows,
         "two_components_values": [*header[:2], "components: 1 2", header[3]] + rows,
@@ -261,6 +265,10 @@ _MALFORMED_MESSAGES = {
     "inf_spacing": "grid spacing must be finite and positive",
     "nan_origin": "grid origin must be finite",
     "negative_dims": r"dims: must be positive, got \[3, -3\]",
+    "dims_word": "field dump header: dims: 'x' is not an integer",
+    "dims_float": "field dump header: dims: '4.0' is not an integer",
+    "spacing_word": "field dump header: spacing: 'a' is not a number",
+    "origin_word": "field dump header: origin: 'b' is not a number",
     "zero_components": "components: must be one positive integer, got '0'",
     "negative_components": "components: must be one positive integer, got '-1'",
     "two_components_values": "components: must be one positive integer, got '1 2'",
